@@ -25,7 +25,8 @@
 //!   above are built on (the workspace vendors no serde_json; see
 //!   DESIGN.md §5 for the dependency policy).
 //!
-//! Everything here is deterministic and dependency-free so the gate
+//! Everything here is deterministic, and the only dependency is the
+//! zero-dependency `roboshape-obs` (for its FNV-1a 64), so the gate
 //! itself can never be the flaky part of CI.
 
 #![deny(missing_docs)]
@@ -41,16 +42,8 @@ pub use json::Json;
 pub use record::{BenchRecord, MachineInfo, Metric, MetricKind, RecordError};
 
 /// FNV-1a 64-bit hash of a byte string — the bundle's snapshot
-/// fingerprint (the same primitive the serve wire protocol uses for
-/// frame checksums, reimplemented here so the crate stays leaf-level).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// fingerprint.
+pub use roboshape_obs::hash::fnv1a64;
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,9 @@
 //! [`roboshape::obs::metrics`] registry after the run).
 //!
 //! The argument parser is hand-rolled (the workspace's dependency policy —
-//! see DESIGN.md §5); it supports `--flag value` and `--flag=value`.
+//! see DESIGN.md §5): one table per subcommand lists its operands and
+//! flags, flags take `--flag value` or `--flag=value`, and anything the
+//! table does not list is an error.
 
 #![warn(missing_docs)]
 
@@ -33,9 +35,12 @@ use roboshape::{
     pareto_frontier, simulate, AcceleratorKnobs, Constraints, Framework, ParallelismProfile,
     PipelineStage, SparsityPattern,
 };
+use roboshape_serve::loadgen::LoadgenConfig;
+use roboshape_serve::{EngineConfig, ServerOptions};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A CLI failure: message plus suggested exit code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +105,8 @@ pub struct Cli {
     /// The subcommand.
     pub command: Command,
     /// Path to the URDF file — or, for `serve`/`loadgen`, the robot
-    /// spec (`zoo`, `zoo:NAME`, or a URDF path).
+    /// spec (`zoo`, `zoo:NAME`, or a URDF path); `-` for the commands
+    /// that take no robot.
     pub urdf: PathBuf,
     /// Where to write the Chrome trace capture (`--trace`), if anywhere.
     pub trace: Option<PathBuf>,
@@ -157,27 +163,15 @@ pub enum Command {
         /// File to write the bound port number to (for scripts that
         /// bind port 0).
         port_file: Option<PathBuf>,
-        /// Per-robot queue capacity.
-        queue: usize,
-        /// Maximum coalesced ∇FD batch.
-        batch: usize,
-        /// Worker threads per robot.
-        workers: usize,
         /// Exit after this many requests have been answered or shed
         /// (`None` = run until killed).
         max_requests: Option<u64>,
-        /// Deterministic fault injection (`--chaos SEED:RATE`).
-        chaos: Option<roboshape_serve::FaultConfig>,
-        /// Default deadline budget (ms) for requests that carry none.
-        deadline_ms: Option<u64>,
-        /// Execution backend for batched kernels (`--backend
-        /// scalar|lanes`; lanes is the default).
-        backend: roboshape::BackendKind,
-        /// Shard name announced in hello handshakes (`--shard NAME`;
-        /// `solo` when the server runs outside a cluster).
-        shard: Option<String>,
-        /// Event loops servicing connections (`--loops N`).
-        loops: usize,
+        /// The engine: `--queue`, `--batch`, `--workers`, `--chaos`,
+        /// `--deadline-ms` and `--backend` over the library defaults.
+        engine: EngineConfig,
+        /// The front-end: `--shard` and `--loops` over the library
+        /// defaults.
+        server: ServerOptions,
     },
     /// `roboshape router`: consistent-hash client requests across shard
     /// servers, with admission control and shard-level failover.
@@ -197,23 +191,9 @@ pub enum Command {
     Loadgen {
         /// Server port on loopback.
         port: u16,
-        /// Open-loop per-client rate in Hz (`None` = closed loop).
-        rate_hz: Option<f64>,
-        /// Concurrent client connections.
-        clients: usize,
-        /// Requests per client.
-        requests: usize,
-        /// Workload shape: single kernel steps (`--workload step`, the
-        /// kernel from `--kind`), rollouts, or mixed chains.
-        workload: roboshape_serve::loadgen::Workload,
-        /// Relative deadline (µs) attached to every request.
-        deadline_us: Option<u64>,
-        /// Attempts per request including the first (1 = no retry).
-        retries: u32,
-        /// Per-response read-timeout budget in milliseconds.
-        timeout_ms: Option<u64>,
-        /// Seed for deterministic inputs and retry jitter (`--seed N`).
-        seed: u64,
+        /// The load over the library defaults (its `robots` are resolved
+        /// from the spec at run time).
+        config: LoadgenConfig,
         /// Cluster mode: append a cluster accounting line (rerouted /
         /// lost across failovers) to the report.
         cluster: bool,
@@ -288,333 +268,439 @@ impl Command {
     }
 }
 
+/// How a flag takes its argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arg {
+    /// A bare `--flag`; `--flag=value` is an error.
+    Switch,
+    /// `--flag VALUE` or `--flag=VALUE`, at most once; the string is the
+    /// value's placeholder in messages.
+    Value(&'static str),
+}
+
+use Arg::{Switch, Value};
+
+/// One subcommand's argument table: everything [`parse_args`] accepts
+/// for it. Anything else on the command line is an error.
+struct Spec {
+    /// The command words: `"info"`, or `"bench compare"` for the
+    /// commands that take an action.
+    words: &'static str,
+    /// Fewest and most positional arguments after the command words.
+    operands: (usize, usize),
+    /// The subcommand's flags, besides [`GLOBAL_FLAGS`].
+    flags: &'static [(&'static str, Arg)],
+}
+
+const N: Arg = Value("N");
+const DIR: Arg = Value("DIR");
+const FILE: Arg = Value("FILE");
+const PORT: Arg = Value("P");
+/// One robot operand: a URDF path, or a `serve`/`loadgen` robot spec.
+const ROBOT: (usize, usize) = (1, 1);
+const NONE: (usize, usize) = (0, 0);
+
+/// The observability flags every subcommand accepts, anywhere on the
+/// command line.
+const GLOBAL_FLAGS: &[(&str, Arg)] = &[("--trace", FILE), ("--metrics", FILE)];
+
+/// The table of every subcommand, in USAGE order.
+#[rustfmt::skip]
+const SPECS: &[Spec] = &[
+    Spec { words: "info", operands: ROBOT, flags: &[] },
+    Spec { words: "generate", operands: ROBOT, flags: &[
+        ("--pe-fwd", N), ("--pe-bwd", N), ("--block", N), ("--out", DIR), ("--timings", Switch),
+    ] },
+    Spec { words: "sweep", operands: ROBOT, flags: &[
+        ("--pareto", Switch), ("--pruned", Switch), ("--timings", Switch),
+    ] },
+    Spec { words: "verify", operands: ROBOT, flags: &[] },
+    Spec { words: "gantt", operands: ROBOT, flags: &[("--width", N)] },
+    Spec { words: "kernels", operands: ROBOT, flags: &[] },
+    Spec { words: "energy", operands: ROBOT, flags: &[] },
+    Spec { words: "soc", operands: (1, usize::MAX), flags: &[] },
+    Spec { words: "serve", operands: ROBOT, flags: &[
+        ("--port", PORT), ("--port-file", FILE), ("--queue", N), ("--batch", N), ("--workers", N),
+        ("--max-requests", N), ("--chaos", Value("SEED:RATE")), ("--deadline-ms", N),
+        ("--backend", Value("scalar|lanes")), ("--shard", Value("NAME")), ("--loops", N),
+    ] },
+    Spec { words: "router", operands: NONE, flags: &[
+        ("--shards", Value("NAME=ADDR,...")), ("--port", PORT), ("--port-file", FILE),
+        ("--max-requests", N),
+    ] },
+    Spec { words: "loadgen", operands: ROBOT, flags: &[
+        ("--port", PORT), ("--clients", N), ("--requests", N), ("--rate", Value("HZ")),
+        ("--kind", Value("grad|id|fk")), ("--workload", Value("step|rollout:N|mixed")),
+        ("--deadline-us", N), ("--retries", N), ("--timeout-ms", N), ("--seed", N),
+        ("--cluster", Switch),
+    ] },
+    Spec { words: "health", operands: NONE, flags: &[("--port", PORT)] },
+    Spec { words: "bench compare", operands: NONE, flags: &[
+        ("--baseline", DIR), ("--current", DIR), ("--smoke", Switch),
+    ] },
+    Spec { words: "bench accept", operands: NONE, flags: &[("--baseline", DIR), ("--current", DIR)] },
+    Spec { words: "bundle export", operands: NONE, flags: &[
+        ("--out", DIR), ("--n", N), ("--seed", Value("S")),
+    ] },
+    Spec { words: "bundle verify", operands: (0, 1), flags: &[] },
+];
+
+/// A parse failure, naming the subcommand (when known) and listing the
+/// flags it accepts.
+fn reject(spec: Option<&Spec>, message: String) -> CliError {
+    let flags = spec.map_or(&[][..], |s| s.flags).iter().chain(GLOBAL_FLAGS);
+    let known: Vec<String> = flags
+        .map(|&(flag, arg)| match arg {
+            Switch => flag.to_string(),
+            Value(meta) => format!("{flag} {meta}"),
+        })
+        .collect();
+    let command = spec.map_or(String::new(), |s| format!("{}: ", s.words));
+    CliError::new(format!(
+        "{command}{message} (known flags: {})",
+        known.join(", ")
+    ))
+}
+
+/// One command line checked against its subcommand's table.
+struct Args {
+    spec: &'static Spec,
+    /// Positional arguments after the command words.
+    operands: Vec<String>,
+    /// The flags given, with their values (`None` for switches).
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// One walk over `args`: the leading words select the table, then
+    /// every argument must be an operand or a flag that table (or
+    /// [`GLOBAL_FLAGS`]) lists.
+    fn parse(args: &[String]) -> Result<Args, CliError> {
+        let (mut words, mut operands, mut flags) = (Vec::new(), Vec::new(), Vec::new());
+        let mut spec: Option<&'static Spec> = None;
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                match spec {
+                    None => {
+                        words.push(arg.as_str());
+                        let joined = words.join(" ");
+                        spec = SPECS.iter().find(|s| s.words == joined);
+                        let group = format!("{joined} ");
+                        if spec.is_none() && !SPECS.iter().any(|s| s.words.starts_with(&group)) {
+                            return Err(CliError::new(format!(
+                                "unknown command `{joined}`\n{USAGE}"
+                            )));
+                        }
+                    }
+                    Some(s) if operands.len() < s.operands.1 => operands.push(arg.clone()),
+                    Some(_) => return Err(reject(spec, format!("unexpected argument `{arg}`"))),
+                }
+                continue;
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let table = spec.map_or(&[][..], |s| s.flags);
+            let Some(&(flag, kind)) = table.iter().chain(GLOBAL_FLAGS).find(|(f, _)| *f == name)
+            else {
+                return Err(reject(spec, format!("unknown option `{name}`")));
+            };
+            let value = match kind {
+                Switch if inline.is_some() => {
+                    return Err(reject(
+                        spec,
+                        format!("switch {flag} takes no value: `{arg}`"),
+                    ))
+                }
+                Switch => None,
+                Value(meta) => Some(inline.or_else(|| it.next().cloned()).ok_or_else(|| {
+                    reject(spec, format!("option {flag} needs a value ({meta})"))
+                })?),
+            };
+            if value.is_some() && flags.iter().any(|(f, _)| *f == flag) {
+                return Err(reject(spec, format!("option {flag} given more than once")));
+            }
+            flags.push((flag, value));
+        }
+        let spec = spec.ok_or_else(|| match words.first() {
+            None => CliError::new(USAGE),
+            Some(group) => {
+                let actions: Vec<&str> = SPECS
+                    .iter()
+                    .filter_map(|s| s.words.strip_prefix(group)?.strip_prefix(' '))
+                    .collect();
+                CliError::new(format!("{group} needs an action: {}", actions.join(" | ")))
+            }
+        })?;
+        if operands.len() < spec.operands.0 {
+            return Err(CliError::new("missing <robot.urdf> argument"));
+        }
+        Ok(Args {
+            spec,
+            operands,
+            flags,
+        })
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    fn text(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().find(|(f, _)| *f == flag)?;
+        value.as_deref()
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.text(flag).map(PathBuf::from)
+    }
+
+    fn path_or(&self, flag: &str, default: &str) -> PathBuf {
+        self.path(flag).unwrap_or_else(|| default.into())
+    }
+
+    /// The error for a value `flag` cannot take, quoting the table's
+    /// placeholder for it.
+    fn invalid(&self, flag: &str, value: &str) -> CliError {
+        let meta = self.spec.flags.iter().find(|(f, _)| *f == flag);
+        let meta = match meta {
+            Some((_, Value(meta))) => meta,
+            _ => "",
+        };
+        CliError::new(format!("option {flag} {meta}: invalid value `{value}`"))
+    }
+
+    /// A typed flag value.
+    fn get<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        let parse = |v: &str| v.parse().map_err(|_| self.invalid(flag, v));
+        self.text(flag).map(parse).transpose()
+    }
+
+    /// A count: at least 1, `default` when the flag is absent.
+    fn count(&self, flag: &str, default: usize) -> Result<usize, CliError> {
+        Ok(self.get(flag)?.unwrap_or(default).max(1))
+    }
+
+    /// The `--port` value. A listener binds it, and 0 (the default) asks
+    /// for an ephemeral port; a client connects to it, so there it is
+    /// required and nonzero.
+    fn port(&self, listener: bool) -> Result<u16, CliError> {
+        match self.text("--port") {
+            None if listener => Ok(0),
+            None => Err(CliError::new(format!(
+                "{} needs --port of a running server",
+                self.spec.words
+            ))),
+            Some(v) => v
+                .parse()
+                .ok()
+                .filter(|&p| listener || p != 0)
+                .ok_or_else(|| CliError::new(format!("--port {v} is not a valid TCP port"))),
+        }
+    }
+}
+
+/// Parses one `--shards` entry: `NAME=ADDR`, where a bare port means
+/// loopback.
+fn parse_shard(part: &str) -> Result<roboshape_serve::ShardSpec, CliError> {
+    let (name, addr_text) = part
+        .split_once('=')
+        .ok_or_else(|| CliError::new(format!("--shards entry `{part}` is not NAME=ADDR")))?;
+    let addr = match addr_text.parse::<u16>() {
+        Ok(p) => std::net::SocketAddr::from(([127, 0, 0, 1], p)),
+        Err(_) => addr_text.parse().map_err(|_| {
+            CliError::new(format!(
+                "--shards entry `{part}` has an invalid address `{addr_text}`"
+            ))
+        })?,
+    };
+    Ok(roboshape_serve::ShardSpec {
+        name: name.to_string(),
+        addr,
+    })
+}
+
 /// Parses the argument list (without the program name).
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] with a usage hint for unknown commands, missing
-/// paths, or malformed options.
+/// Returns a [`CliError`] for unknown commands, missing or stray
+/// operands, flags the subcommand's table does not list, and malformed
+/// values.
 pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
-    // Peel off the global observability flags first: they are valid on
-    // every command, and `soc` treats any non-`--` argument as an extra
-    // URDF path, so `--trace t.json` must not leak into per-command
-    // parsing.
-    let mut trace = None;
-    let mut metrics = None;
-    let mut filtered: Vec<String> = Vec::with_capacity(args.len());
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        let mut take = |slot: &mut Option<PathBuf>, name: &str| -> Result<bool, CliError> {
-            if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-                *slot = Some(PathBuf::from(v));
-                return Ok(true);
-            }
-            if a == name {
-                i += 1;
-                *slot = Some(PathBuf::from(args.get(i).ok_or_else(|| {
-                    CliError::new(format!("option {name} needs a file path"))
-                })?));
-                return Ok(true);
-            }
-            Ok(false)
-        };
-        if !take(&mut trace, "--trace")? && !take(&mut metrics, "--metrics")? {
-            filtered.push(args[i].clone());
-        }
-        i += 1;
-    }
-
-    let mut it = filtered.iter();
-    let cmd = it.next().ok_or_else(|| CliError::new(USAGE))?;
-    // `health` and `router` address servers, not robot descriptions —
-    // no spec argument.
-    let no_spec = String::from("-");
-    let urdf = if matches!(cmd.as_str(), "health" | "router") {
-        &no_spec
-    } else if matches!(cmd.as_str(), "bench" | "bundle") {
-        // These take an action token in the spec slot, not a robot.
-        it.next().ok_or_else(|| {
-            CliError::new(match cmd.as_str() {
-                "bench" => "bench needs an action: compare | accept",
-                _ => "bundle needs an action: export | verify",
-            })
-        })?
-    } else {
-        it.next()
-            .ok_or_else(|| CliError::new("missing <robot.urdf> argument"))?
-    };
-    let rest: Vec<&String> = it.collect();
-    let get_opt = |name: &str| -> Result<Option<String>, CliError> {
-        let mut i = 0;
-        while i < rest.len() {
-            let a = rest[i].as_str();
-            if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-                return Ok(Some(v.to_string()));
-            }
-            if a == name {
-                return rest
-                    .get(i + 1)
-                    .map(|v| Some(v.to_string()))
-                    .ok_or_else(|| CliError::new(format!("option {name} needs a value")));
-            }
-            i += 1;
-        }
-        Ok(None)
-    };
-    let get_usize = |name: &str| -> Result<Option<usize>, CliError> {
-        match get_opt(name)? {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| CliError::new(format!("option {name} needs an integer, got `{v}`"))),
-        }
-    };
-
-    let command = match cmd.as_str() {
+    let a = Args::parse(args)?;
+    let command = match a.spec.words {
         "info" => Command::Info,
         "verify" => Command::Verify,
-        "gantt" => Command::Gantt {
-            width: get_usize("--width")?.unwrap_or(80).max(1),
-        },
         "kernels" => Command::Kernels,
         "energy" => Command::Energy,
+        "gantt" => Command::Gantt {
+            width: a.count("--width", 80)?,
+        },
         "soc" => Command::Soc {
-            extra: rest
-                .iter()
-                .filter(|a| !a.starts_with("--"))
-                .map(PathBuf::from)
-                .collect(),
+            extra: a.operands[1..].iter().map(PathBuf::from).collect(),
         },
         "sweep" => Command::Sweep {
-            pareto_only: rest.iter().any(|a| a.as_str() == "--pareto"),
-            pruned: rest.iter().any(|a| a.as_str() == "--pruned"),
-            timings: rest.iter().any(|a| a.as_str() == "--timings"),
+            pareto_only: a.switch("--pareto"),
+            pruned: a.switch("--pruned"),
+            timings: a.switch("--timings"),
         },
-        "generate" => {
-            let pe_fwd = get_usize("--pe-fwd")?;
-            let pe_bwd = get_usize("--pe-bwd")?;
-            let block = get_usize("--block")?;
-            let knobs = match (pe_fwd, pe_bwd, block) {
+        "generate" => Command::Generate {
+            knobs: match (a.get("--pe-fwd")?, a.get("--pe-bwd")?, a.get("--block")?) {
                 (None, None, None) => None,
-                (f, b, blk) => {
-                    // Partial knobs: fall back to 1 so the user sees the
-                    // effect of what they set; the heuristic path is the
-                    // no-flags case.
-                    Some(AcceleratorKnobs::new(
-                        f.unwrap_or(1).max(1),
-                        b.unwrap_or(1).max(1),
-                        blk.unwrap_or(1).max(1),
-                    ))
-                }
-            };
-            let out = get_opt("--out")?
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("roboshape_out"));
-            let timings = rest.iter().any(|a| a.as_str() == "--timings");
-            Command::Generate {
-                knobs,
-                out,
-                timings,
-            }
-        }
+                // Partial knobs: fall back to 1 so the user sees the
+                // effect of what they set; the heuristic path is the
+                // no-flags case.
+                (f, b, blk) => Some(AcceleratorKnobs::new(
+                    f.unwrap_or(1).max(1),
+                    b.unwrap_or(1).max(1),
+                    blk.unwrap_or(1).max(1),
+                )),
+            },
+            out: a.path_or("--out", "roboshape_out"),
+            timings: a.switch("--timings"),
+        },
         "serve" => {
-            let port = get_usize("--port")?.unwrap_or(0);
-            if port > u16::MAX as usize {
-                return Err(CliError::new(format!(
-                    "--port {port} is not a valid TCP port"
-                )));
-            }
-            let chaos =
-                match get_opt("--chaos")? {
-                    None => None,
-                    Some(v) => Some(roboshape_serve::FaultConfig::parse(&v).map_err(|e| {
-                        CliError::new(format!("option --chaos needs SEED:RATE: {e}"))
-                    })?),
-                };
-            let backend = match get_opt("--backend")?.as_deref() {
-                None | Some("lanes") => roboshape::BackendKind::Lanes,
-                Some("scalar") => roboshape::BackendKind::Scalar,
-                Some(other) => {
-                    return Err(CliError::new(format!(
-                        "option --backend must be scalar or lanes, got `{other}`"
-                    )))
-                }
+            let d = EngineConfig::default();
+            let engine = EngineConfig {
+                queue_capacity: a.count("--queue", d.queue_capacity)?,
+                max_batch: a.count("--batch", d.max_batch)?,
+                workers_per_robot: a.count("--workers", d.workers_per_robot)?,
+                default_deadline: a
+                    .get("--deadline-ms")?
+                    .map(Duration::from_millis)
+                    .or(d.default_deadline),
+                chaos: a
+                    .text("--chaos")
+                    .map(roboshape_serve::FaultConfig::parse)
+                    .transpose()
+                    .map_err(|e| CliError::new(format!("option --chaos needs SEED:RATE: {e}")))?
+                    .or(d.chaos),
+                backend: match a.text("--backend") {
+                    None => d.backend,
+                    Some(v) => {
+                        roboshape::BackendKind::parse(v).ok_or_else(|| a.invalid("--backend", v))?
+                    }
+                },
+                ..d
             };
+            let d = ServerOptions::default();
             Command::Serve {
-                port: port as u16,
-                port_file: get_opt("--port-file")?.map(PathBuf::from),
-                queue: get_usize("--queue")?.unwrap_or(64).max(1),
-                batch: get_usize("--batch")?.unwrap_or(8).max(1),
-                workers: get_usize("--workers")?.unwrap_or(2).max(1),
-                max_requests: get_usize("--max-requests")?.map(|v| v as u64),
-                chaos,
-                deadline_ms: get_usize("--deadline-ms")?.map(|v| v as u64),
-                backend,
-                shard: get_opt("--shard")?,
-                loops: get_usize("--loops")?.unwrap_or(1).max(1),
+                port: a.port(true)?,
+                port_file: a.path("--port-file"),
+                max_requests: a.get("--max-requests")?,
+                engine,
+                server: ServerOptions {
+                    loops: a.count("--loops", d.loops)?,
+                    shard_name: a.text("--shard").map_or(d.shard_name, String::from),
+                },
             }
         }
         "router" => {
-            let port = get_usize("--port")?.unwrap_or(0);
-            if port > u16::MAX as usize {
-                return Err(CliError::new(format!(
-                    "--port {port} is not a valid TCP port"
-                )));
-            }
-            let spec = get_opt("--shards")?
+            let spec = a
+                .text("--shards")
                 .ok_or_else(|| CliError::new("router needs --shards NAME=ADDR,..."))?;
-            let mut shards = Vec::new();
-            for part in spec.split(',').filter(|p| !p.is_empty()) {
-                let (name, addr_text) = part.split_once('=').ok_or_else(|| {
-                    CliError::new(format!("--shards entry `{part}` is not NAME=ADDR"))
-                })?;
-                let addr = if let Ok(p) = addr_text.parse::<u16>() {
-                    std::net::SocketAddr::from(([127, 0, 0, 1], p))
-                } else {
-                    addr_text.parse().map_err(|_| {
-                        CliError::new(format!(
-                            "--shards entry `{part}` has an invalid address `{addr_text}`"
-                        ))
-                    })?
-                };
-                shards.push(roboshape_serve::ShardSpec {
-                    name: name.to_string(),
-                    addr,
-                });
-            }
+            let shards = spec
+                .split(',')
+                .filter(|p| !p.is_empty())
+                .map(parse_shard)
+                .collect::<Result<Vec<_>, _>>()?;
             if shards.is_empty() {
                 return Err(CliError::new("router needs at least one shard"));
             }
             Command::Router {
-                port: port as u16,
-                port_file: get_opt("--port-file")?.map(PathBuf::from),
+                port: a.port(true)?,
+                port_file: a.path("--port-file"),
                 shards,
-                max_requests: get_usize("--max-requests")?.map(|v| v as u64),
+                max_requests: a.get("--max-requests")?,
             }
         }
-        "health" => {
-            let port = get_usize("--port")?
-                .ok_or_else(|| CliError::new("health needs --port of a running server"))?;
-            if port == 0 || port > u16::MAX as usize {
-                return Err(CliError::new(format!(
-                    "--port {port} is not a valid TCP port"
-                )));
-            }
-            Command::Health { port: port as u16 }
-        }
-        "loadgen" => {
-            let port = get_usize("--port")?
-                .ok_or_else(|| CliError::new("loadgen needs --port of a running server"))?;
-            if port == 0 || port > u16::MAX as usize {
-                return Err(CliError::new(format!(
-                    "--port {port} is not a valid TCP port"
-                )));
-            }
-            let rate_hz = match get_opt("--rate")? {
-                None => None,
-                Some(v) => Some(v.parse::<f64>().map_err(|_| {
-                    CliError::new(format!("option --rate needs a number, got `{v}`"))
-                })?),
-            };
-            let kind = match get_opt("--kind")?.as_deref() {
-                None | Some("grad") => roboshape::KernelKind::DynamicsGradient,
-                Some("id") => roboshape::KernelKind::InverseDynamics,
-                Some("fk") => roboshape::KernelKind::ForwardKinematics,
-                Some(other) => {
-                    return Err(CliError::new(format!(
-                        "option --kind must be grad, id or fk, got `{other}`"
-                    )))
-                }
-            };
-            let workload = match get_opt("--workload")?.as_deref() {
-                None | Some("step") => roboshape_serve::loadgen::Workload::Step(kind),
-                Some("mixed") => roboshape_serve::loadgen::Workload::Mixed,
-                Some(spec) => match spec.strip_prefix("rollout:") {
-                    Some(steps) => match steps.parse::<u32>() {
-                        Ok(steps) if steps >= 1 => {
-                            roboshape_serve::loadgen::Workload::Rollout(steps)
-                        }
-                        _ => {
-                            return Err(CliError::new(format!(
-                                "option --workload rollout:N needs N >= 1, got `{steps}`"
-                            )))
-                        }
-                    },
-                    None => {
-                        return Err(CliError::new(format!(
-                            "option --workload must be step, rollout:N or mixed, got `{spec}`"
-                        )))
-                    }
-                },
-            };
-            Command::Loadgen {
-                port: port as u16,
-                rate_hz,
-                clients: get_usize("--clients")?.unwrap_or(4).max(1),
-                requests: get_usize("--requests")?.unwrap_or(16).max(1),
-                workload,
-                deadline_us: get_usize("--deadline-us")?.map(|v| v as u64),
-                retries: get_usize("--retries")?.unwrap_or(3).max(1) as u32,
-                timeout_ms: get_usize("--timeout-ms")?.map(|v| v as u64),
-                seed: get_usize("--seed")?.map_or(1, |v| v as u64),
-                cluster: rest.iter().any(|a| a.as_str() == "--cluster"),
-            }
-        }
-        "bench" => {
-            let baseline = get_opt("--baseline")?
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("bench/baselines"));
-            let current = get_opt("--current")?
-                .map(PathBuf::from)
-                .unwrap_or_else(|| PathBuf::from("bench/current"));
-            match urdf.as_str() {
-                "compare" => Command::BenchCompare {
-                    baseline,
-                    current,
-                    smoke: rest.iter().any(|a| a.as_str() == "--smoke"),
-                },
-                "accept" => Command::BenchAccept { baseline, current },
-                other => {
-                    return Err(CliError::new(format!(
-                        "unknown bench action `{other}` (known: compare, accept)"
-                    )))
-                }
-            }
-        }
-        "bundle" => match urdf.as_str() {
-            "export" => {
-                let zoo_n = get_usize("--n")?.unwrap_or(48).max(1);
-                let zoo_seed = get_usize("--seed")?.map_or(42, |v| v as u64);
-                Command::BundleExport {
-                    out: get_opt("--out")?
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| PathBuf::from("roboshape_bundle")),
-                    zoo_n,
-                    zoo_seed,
-                }
-            }
-            "verify" => Command::BundleVerify {
-                dir: rest
-                    .iter()
-                    .find(|a| !a.starts_with("--"))
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from("bench/baselines/example-bundle")),
-            },
-            other => {
-                return Err(CliError::new(format!(
-                    "unknown bundle action `{other}` (known: export, verify)"
-                )))
-            }
+        "health" => Command::Health {
+            port: a.port(false)?,
         },
-        other => return Err(CliError::new(format!("unknown command `{other}`\n{USAGE}"))),
+        "loadgen" => {
+            use roboshape::KernelKind;
+            use roboshape_serve::loadgen::{LoadMode, RetryPolicy, Workload};
+            let kind = match a.text("--kind").unwrap_or("grad") {
+                "grad" => KernelKind::DynamicsGradient,
+                "id" => KernelKind::InverseDynamics,
+                "fk" => KernelKind::ForwardKinematics,
+                other => return Err(a.invalid("--kind", other)),
+            };
+            let workload = match a.text("--workload") {
+                None | Some("step") => Workload::Step(kind),
+                Some("mixed") => Workload::Mixed,
+                Some(spec) => spec
+                    .strip_prefix("rollout:")
+                    .and_then(|steps| steps.parse().ok())
+                    .filter(|&steps| steps >= 1)
+                    .map(Workload::Rollout)
+                    .ok_or_else(|| a.invalid("--workload", spec))?,
+            };
+            let d = LoadgenConfig::default();
+            Command::Loadgen {
+                port: a.port(false)?,
+                config: LoadgenConfig {
+                    mode: a
+                        .get("--rate")?
+                        .map_or(d.mode, |rate_hz| LoadMode::Open { rate_hz }),
+                    clients: a.count("--clients", d.clients)?,
+                    requests_per_client: a.count("--requests", d.requests_per_client)?,
+                    workload,
+                    deadline: a
+                        .get("--deadline-us")?
+                        .map(Duration::from_micros)
+                        .or(d.deadline),
+                    // The CLI's seed defaults to 1, not the library's 0.
+                    seed: a.get("--seed")?.unwrap_or(1),
+                    retry: RetryPolicy {
+                        max_attempts: a
+                            .get("--retries")?
+                            .map_or(d.retry.max_attempts, |n: u32| n.max(1)),
+                        ..d.retry
+                    },
+                    timeout: a
+                        .get("--timeout-ms")?
+                        .map(Duration::from_millis)
+                        .or(d.timeout),
+                    ..d
+                },
+                cluster: a.switch("--cluster"),
+            }
+        }
+        "bench compare" => Command::BenchCompare {
+            baseline: a.path_or("--baseline", "bench/baselines"),
+            current: a.path_or("--current", "bench/current"),
+            smoke: a.switch("--smoke"),
+        },
+        "bench accept" => Command::BenchAccept {
+            baseline: a.path_or("--baseline", "bench/baselines"),
+            current: a.path_or("--current", "bench/current"),
+        },
+        "bundle export" => Command::BundleExport {
+            out: a.path_or("--out", "roboshape_bundle"),
+            zoo_n: a.count("--n", 48)?,
+            zoo_seed: a.get("--seed")?.unwrap_or(42),
+        },
+        "bundle verify" => Command::BundleVerify {
+            dir: a
+                .operands
+                .first()
+                .map_or_else(|| "bench/baselines/example-bundle".into(), PathBuf::from),
+        },
+        other => unreachable!("no parser for table entry `{other}`"),
+    };
+    let urdf = match a.spec.operands {
+        (0, _) => "-",
+        _ => &a.operands[0],
     };
     Ok(Cli {
         command,
         urdf: PathBuf::from(urdf),
-        trace,
-        metrics,
+        trace: a.path("--trace"),
+        metrics: a.path("--metrics"),
     })
 }
 
@@ -698,35 +784,39 @@ fn resolve_robots(
     Ok(vec![(robot.name().to_string(), robot)])
 }
 
+/// Writes the bound port to `--port-file`, for scripts that bind port 0.
+fn write_port_file(path: Option<&Path>, bound: u16) -> Result<(), CliError> {
+    let Some(path) = path else { return Ok(()) };
+    std::fs::write(path, format!("{bound}\n"))
+        .map_err(|e| CliError::new(format!("cannot write {}: {e}", path.display())))
+}
+
+/// Blocks until `settled()` reaches the `--max-requests` target, polling
+/// every 10 ms; without a target, until the process is killed.
+fn wait_for_requests(target: Option<u64>, settled: impl Fn() -> u64) {
+    let Some(target) = target else {
+        loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        }
+    };
+    while settled() < target {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// `roboshape serve`: bind, announce, serve until `--max-requests`
 /// responses (or forever), then drain gracefully and summarise.
-#[allow(clippy::too_many_arguments)] // mirrors the flag list one-to-one
 fn run_serve(
-    cli: &Cli,
+    spec: &Path,
     port: u16,
-    port_file: Option<&PathBuf>,
-    queue: usize,
-    batch: usize,
-    workers: usize,
+    port_file: Option<&Path>,
     max_requests: Option<u64>,
-    chaos: Option<roboshape_serve::FaultConfig>,
-    deadline_ms: Option<u64>,
-    backend: roboshape::BackendKind,
-    shard: Option<&String>,
-    loops: usize,
+    config: EngineConfig,
+    options: &ServerOptions,
 ) -> Result<String, CliError> {
-    use roboshape_serve::{Engine, EngineConfig, Server, ServerOptions};
-    let robots = resolve_robots(&cli.urdf)?;
-    let engine = Engine::new(EngineConfig {
-        queue_capacity: queue,
-        max_batch: batch,
-        workers_per_robot: workers,
-        start_paused: false,
-        default_deadline: deadline_ms.map(std::time::Duration::from_millis),
-        chaos,
-        backend,
-        ..EngineConfig::default()
-    });
+    use roboshape_serve::{Engine, Server};
+    let robots = resolve_robots(spec)?;
+    let engine = Engine::new(config);
     let mut out = String::new();
     for (name, model) in robots {
         let _ = writeln!(
@@ -737,68 +827,54 @@ fn run_serve(
         );
         engine.register(name, model);
     }
-    let options = ServerOptions {
-        shard_name: shard.cloned().unwrap_or_else(|| "solo".to_string()),
-        loops,
+    let shard_note = if options.shard_name == ServerOptions::default().shard_name {
+        String::new()
+    } else {
+        format!(" shard={}", options.shard_name)
     };
-    let shard_note = shard.map(|s| format!(" shard={s}")).unwrap_or_default();
-    let server = Server::start_with(engine.clone(), ("127.0.0.1", port), options)
+    let server = Server::start_with(engine.clone(), ("127.0.0.1", port), options.clone())
         .map_err(|e| CliError::new(format!("cannot bind 127.0.0.1:{port}: {e}")))?;
     let bound = server.port();
-    if let Some(path) = port_file {
-        std::fs::write(path, format!("{bound}\n"))
-            .map_err(|e| CliError::new(format!("cannot write {}: {e}", path.display())))?;
-    }
+    write_port_file(port_file, bound)?;
     // Announce on stdout immediately — scripts wait for the port line
     // (the returned string prints only after the run finishes).
-    let chaos_note = chaos
+    let chaos_note = config
+        .chaos
         .map(|c| format!(" chaos={}:{}", c.seed, c.crash))
         .unwrap_or_default();
     println!(
-        "serving on 127.0.0.1:{bound} (queue={queue} batch={batch} workers={workers}{chaos_note}{shard_note})"
+        "serving on 127.0.0.1:{bound} (queue={} batch={} workers={}{chaos_note}{shard_note})",
+        config.queue_capacity, config.max_batch, config.workers_per_robot
     );
-    match max_requests {
-        Some(target) => {
-            loop {
-                let stats = engine.stats();
-                if stats.responses() + stats.shed >= target {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            server.shutdown();
-            let stats = engine.stats();
-            let _ = writeln!(
-                out,
-                "served {} requests: ok={} shed={} deadline_exceeded={} bad={} crashed={} degraded={} batches={} largest_batch={}",
-                stats.responses() + stats.shed,
-                stats.completed,
-                stats.shed,
-                stats.deadline_exceeded,
-                stats.bad_requests,
-                stats.crashed,
-                stats.degraded,
-                stats.batches,
-                stats.largest_batch,
-            );
-            let _ = writeln!(
-                out,
-                "resilience: worker_restarts={} circuit_trips={} injected: stalls={} crashes={} pressure={}",
-                stats.worker_restarts,
-                stats.circuit_trips,
-                stats.injected_stalls,
-                stats.injected_crashes,
-                stats.injected_pressure,
-            );
-            Ok(out)
-        }
-        None => {
-            // Serve until the process is killed.
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-        }
-    }
+    wait_for_requests(max_requests, || {
+        let stats = engine.stats();
+        stats.responses() + stats.shed
+    });
+    server.shutdown();
+    let stats = engine.stats();
+    let _ = writeln!(
+        out,
+        "served {} requests: ok={} shed={} deadline_exceeded={} bad={} crashed={} degraded={} batches={} largest_batch={}",
+        stats.responses() + stats.shed,
+        stats.completed,
+        stats.shed,
+        stats.deadline_exceeded,
+        stats.bad_requests,
+        stats.crashed,
+        stats.degraded,
+        stats.batches,
+        stats.largest_batch,
+    );
+    let _ = writeln!(
+        out,
+        "resilience: worker_restarts={} circuit_trips={} injected: stalls={} crashes={} pressure={}",
+        stats.worker_restarts,
+        stats.circuit_trips,
+        stats.injected_stalls,
+        stats.injected_crashes,
+        stats.injected_pressure,
+    );
+    Ok(out)
 }
 
 /// `roboshape router`: start the cluster front-end over an existing
@@ -806,7 +882,7 @@ fn run_serve(
 /// exit after that many client requests have settled.
 fn run_router(
     port: u16,
-    port_file: Option<&PathBuf>,
+    port_file: Option<&Path>,
     shards: &[roboshape_serve::ShardSpec],
     max_requests: Option<u64>,
 ) -> Result<String, CliError> {
@@ -815,62 +891,37 @@ fn run_router(
     let router = Router::start(RouterConfig::new(shards.to_vec()), ("127.0.0.1", port))
         .map_err(|e| CliError::new(format!("cannot bind 127.0.0.1:{port}: {e}")))?;
     let bound = router.port();
-    if let Some(path) = port_file {
-        std::fs::write(path, format!("{bound}\n"))
-            .map_err(|e| CliError::new(format!("cannot write {}: {e}", path.display())))?;
-    }
+    write_port_file(port_file, bound)?;
     // Announce on stdout immediately — scripts wait for the port line.
     println!(
         "routing on 127.0.0.1:{bound} across {} shards ({})",
         shards.len(),
         names.join(", ")
     );
-    match max_requests {
-        Some(target) => {
-            let stats = router.stats();
-            while stats.settled() < target {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-            router.shutdown();
-            use std::sync::atomic::Ordering::Relaxed;
-            Ok(format!(
-                "routed {} requests: responses={} shed={} rerouted={} failovers={}\n",
-                stats.settled(),
-                stats.responses.load(Relaxed),
-                stats.shed.load(Relaxed),
-                stats.rerouted.load(Relaxed),
-                stats.failovers.load(Relaxed),
-            ))
-        }
-        None => {
-            // Route until the process is killed.
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-        }
-    }
+    let stats = router.stats();
+    wait_for_requests(max_requests, || stats.settled());
+    router.shutdown();
+    use std::sync::atomic::Ordering::Relaxed;
+    Ok(format!(
+        "routed {} requests: responses={} shed={} rerouted={} failovers={}\n",
+        stats.settled(),
+        stats.responses.load(Relaxed),
+        stats.shed.load(Relaxed),
+        stats.rerouted.load(Relaxed),
+        stats.failovers.load(Relaxed),
+    ))
 }
 
 /// `roboshape loadgen`: resolve the spec to robot names/sizes, run the
 /// configured load, report.
-#[allow(clippy::too_many_arguments)] // mirrors the flag list one-to-one
 fn run_loadgen_command(
-    cli: &Cli,
+    spec: &Path,
     port: u16,
-    rate_hz: Option<f64>,
-    clients: usize,
-    requests: usize,
-    workload: roboshape_serve::loadgen::Workload,
-    deadline_us: Option<u64>,
-    retries: u32,
-    timeout_ms: Option<u64>,
-    seed: u64,
+    config: &LoadgenConfig,
     cluster: bool,
 ) -> Result<String, CliError> {
-    use roboshape_serve::loadgen::{
-        run_loadgen, LoadMode, LoadgenConfig, RetryPolicy, TargetRobot,
-    };
-    let robots = resolve_robots(&cli.urdf)?
+    use roboshape_serve::loadgen::{run_loadgen, TargetRobot};
+    let robots = resolve_robots(spec)?
         .into_iter()
         .map(|(name, model)| TargetRobot {
             name,
@@ -878,21 +929,8 @@ fn run_loadgen_command(
         })
         .collect();
     let cfg = LoadgenConfig {
-        mode: match rate_hz {
-            Some(rate_hz) => LoadMode::Open { rate_hz },
-            None => LoadMode::Closed,
-        },
-        clients,
-        requests_per_client: requests,
         robots,
-        workload,
-        deadline: deadline_us.map(std::time::Duration::from_micros),
-        seed,
-        retry: RetryPolicy {
-            max_attempts: retries.max(1),
-            ..RetryPolicy::default()
-        },
-        timeout: timeout_ms.map(std::time::Duration::from_millis),
+        ..config.clone()
     };
     let report = run_loadgen(("127.0.0.1", port), &cfg)
         .map_err(|e| CliError::new(format!("loadgen against 127.0.0.1:{port} failed: {e}")))?;
@@ -1291,29 +1329,17 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
         Command::Serve {
             port,
             port_file,
-            queue,
-            batch,
-            workers,
             max_requests,
-            chaos,
-            deadline_ms,
-            backend,
-            shard,
-            loops,
+            engine,
+            server,
         } => {
             return run_serve(
-                cli,
+                &cli.urdf,
                 *port,
-                port_file.as_ref(),
-                *queue,
-                *batch,
-                *workers,
+                port_file.as_deref(),
                 *max_requests,
-                *chaos,
-                *deadline_ms,
-                *backend,
-                shard.as_ref(),
-                *loops,
+                *engine,
+                server,
             )
         }
         Command::Router {
@@ -1321,33 +1347,12 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
             port_file,
             shards,
             max_requests,
-        } => return run_router(*port, port_file.as_ref(), shards, *max_requests),
+        } => return run_router(*port, port_file.as_deref(), shards, *max_requests),
         Command::Loadgen {
             port,
-            rate_hz,
-            clients,
-            requests,
-            workload,
-            deadline_us,
-            retries,
-            timeout_ms,
-            seed,
+            config,
             cluster,
-        } => {
-            return run_loadgen_command(
-                cli,
-                *port,
-                *rate_hz,
-                *clients,
-                *requests,
-                *workload,
-                *deadline_us,
-                *retries,
-                *timeout_ms,
-                *seed,
-                *cluster,
-            )
-        }
+        } => return run_loadgen_command(&cli.urdf, *port, config, *cluster),
         Command::Health { port } => return run_health(*port),
         Command::BenchCompare {
             baseline,
@@ -1648,16 +1653,7 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
             }
             let _ = writeln!(out, "VERIFIED");
         }
-        Command::Serve { .. }
-        | Command::Router { .. }
-        | Command::Loadgen { .. }
-        | Command::Health { .. }
-        | Command::BenchCompare { .. }
-        | Command::BenchAccept { .. }
-        | Command::BundleExport { .. }
-        | Command::BundleVerify { .. } => {
-            unreachable!("dispatched before the URDF load")
-        }
+        _ => unreachable!("dispatched before the URDF load"),
     }
     Ok(out)
 }
@@ -1727,6 +1723,169 @@ mod tests {
         assert!(parse_args(&args(&["frobnicate", "r.urdf"])).is_err());
         assert!(parse_args(&args(&["generate", "r.urdf", "--pe-fwd", "three"])).is_err());
         assert!(parse_args(&args(&["generate", "r.urdf", "--pe-fwd"])).is_err());
+    }
+
+    /// The `--flags` USAGE documents, per subcommand (`bench` and
+    /// `bundle` pool their actions), plus the global ones under `""`.
+    fn usage_flags() -> std::collections::BTreeMap<String, std::collections::BTreeSet<String>> {
+        let mut blocks = std::collections::BTreeMap::new();
+        let mut current = None;
+        for line in USAGE.lines().skip(1) {
+            if line.starts_with("global options") {
+                current = Some(String::new());
+            } else if current != Some(String::new())
+                && line.starts_with("  ")
+                && line.as_bytes()[2].is_ascii_alphabetic()
+            {
+                current = line.split_whitespace().next().map(String::from);
+            }
+            let block = blocks
+                .entry(current.clone().expect("USAGE starts with a command"))
+                .or_insert_with(std::collections::BTreeSet::new);
+            for token in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if token.len() > 2 && token.starts_with("--") {
+                    block.insert(token.to_string());
+                }
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn usage_and_flag_tables_list_the_same_flags() {
+        let mut tables: std::collections::BTreeMap<String, std::collections::BTreeSet<String>> =
+            std::collections::BTreeMap::new();
+        tables.insert(
+            String::new(),
+            GLOBAL_FLAGS.iter().map(|(f, _)| f.to_string()).collect(),
+        );
+        for spec in SPECS {
+            let command = spec.words.split(' ').next().unwrap().to_string();
+            tables
+                .entry(command)
+                .or_default()
+                .extend(spec.flags.iter().map(|(f, _)| f.to_string()));
+        }
+        assert_eq!(usage_flags(), tables);
+    }
+
+    /// A minimal invocation of `spec`: its command words plus its
+    /// required operands.
+    fn base_args(spec: &Spec) -> Vec<String> {
+        let mut v: Vec<String> = spec.words.split(' ').map(String::from).collect();
+        v.extend((0..spec.operands.0).map(|i| format!("r{i}.urdf")));
+        v
+    }
+
+    /// Parses `extra` after `spec`'s base invocation, expecting a table
+    /// rejection that names `offender` and lists every known flag.
+    fn assert_rejected(spec: &Spec, extra: &[&str], offender: &str) {
+        let mut argv = base_args(spec);
+        argv.extend(extra.iter().map(|a| a.to_string()));
+        let err = parse_args(&argv).expect_err(&format!("{argv:?} was accepted"));
+        assert!(err.message.contains(offender), "{argv:?}: {}", err.message);
+        assert!(
+            err.message.starts_with(&format!("{}: ", spec.words)),
+            "{argv:?}: {}",
+            err.message
+        );
+        for (flag, _) in spec.flags.iter().chain(GLOBAL_FLAGS) {
+            assert!(err.message.contains(flag), "{argv:?}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_what_its_table_does_not_list() {
+        for spec in SPECS {
+            assert_rejected(spec, &["--bogus"], "`--bogus`");
+            assert_rejected(spec, &["--bogus=1"], "`--bogus`");
+            if spec.operands.1 != usize::MAX {
+                let mut extra = vec!["operand"; spec.operands.1 - spec.operands.0];
+                extra.push("stray.txt");
+                assert_rejected(spec, &extra, "`stray.txt`");
+            }
+            if let Some((switch, _)) = spec.flags.iter().find(|(_, a)| *a == Switch) {
+                let arg = format!("{switch}=yes");
+                assert_rejected(spec, &[&arg], &format!("`{arg}`"));
+            }
+            for (flag, _) in spec
+                .flags
+                .iter()
+                .chain(GLOBAL_FLAGS)
+                .filter(|(_, a)| *a != Switch)
+            {
+                assert_rejected(spec, &[flag], &format!("option {flag} needs a value"));
+                assert_rejected(
+                    spec,
+                    &[flag, "1", &format!("{flag}=2")],
+                    &format!("option {flag} given more than once"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn typos_are_errors_not_silently_ignored() {
+        for argv in [
+            &[
+                "generate", "two.urdf", "--pe-fwd", "2", "--pe-bwd", "2", "--blok", "2",
+            ][..],
+            &["sweep", "two.urdf", "--prunned"],
+            &["info", "two.urdf", "extra.urdf", "--bogus"],
+            &["gantt", "two.urdf", "--width", "40", "--width", "60"],
+            &["--bogus", "info", "two.urdf"],
+        ] {
+            assert!(parse_args(&args(argv)).is_err(), "{argv:?} was accepted");
+        }
+        let err = parse_args(&args(&["sweep", "two.urdf", "--prunned"])).unwrap_err();
+        assert!(
+            err.message.contains("unknown option `--prunned`"),
+            "{}",
+            err.message
+        );
+        assert!(err.message.contains("--pruned"), "{}", err.message);
+    }
+
+    #[test]
+    fn global_flags_are_accepted_anywhere() {
+        for argv in [
+            &["--trace", "t.json", "info", "r.urdf", "--metrics=m.json"][..],
+            &["info", "--metrics", "m.json", "r.urdf", "--trace=t.json"],
+        ] {
+            let c = parse_args(&args(argv)).unwrap();
+            assert_eq!(c.command, Command::Info);
+            assert_eq!(c.urdf, PathBuf::from("r.urdf"));
+            assert_eq!(c.trace, Some(PathBuf::from("t.json")));
+            assert_eq!(c.metrics, Some(PathBuf::from("m.json")));
+        }
+    }
+
+    #[test]
+    fn serve_and_loadgen_start_from_the_library_defaults() {
+        let c = parse_args(&args(&["serve", "zoo"])).unwrap();
+        assert_eq!(
+            c.command,
+            Command::Serve {
+                port: 0,
+                port_file: None,
+                max_requests: None,
+                engine: EngineConfig::default(),
+                server: ServerOptions::default(),
+            }
+        );
+        let c = parse_args(&args(&["loadgen", "zoo", "--port", "9"])).unwrap();
+        assert_eq!(
+            c.command,
+            Command::Loadgen {
+                port: 9,
+                // The CLI's one deliberate difference: seed 1.
+                config: LoadgenConfig {
+                    seed: 1,
+                    ..LoadgenConfig::default()
+                },
+                cluster: false,
+            }
+        );
     }
 
     #[test]
@@ -1948,24 +2107,23 @@ mod tests {
         match c.command {
             Command::Serve {
                 port,
-                queue,
+                engine,
                 max_requests,
-                backend,
                 ..
             } => {
                 assert_eq!(port, 0);
-                assert_eq!(queue, 32);
+                assert_eq!(engine.queue_capacity, 32);
                 assert_eq!(max_requests, Some(10));
                 // Lanes is the default backend.
-                assert_eq!(backend, roboshape::BackendKind::Lanes);
+                assert_eq!(engine.backend, roboshape::BackendKind::Lanes);
             }
             other => panic!("unexpected {other:?}"),
         }
 
         let c = parse_args(&args(&["serve", "zoo", "--backend", "scalar"])).unwrap();
         match c.command {
-            Command::Serve { backend, .. } => {
-                assert_eq!(backend, roboshape::BackendKind::Scalar)
+            Command::Serve { engine, .. } => {
+                assert_eq!(engine.backend, roboshape::BackendKind::Scalar)
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1976,16 +2134,14 @@ mod tests {
         ]))
         .unwrap();
         match c.command {
-            Command::Loadgen {
-                port,
-                rate_hz,
-                workload,
-                ..
-            } => {
+            Command::Loadgen { port, config, .. } => {
                 assert_eq!(port, 9000);
-                assert_eq!(rate_hz, Some(50.0));
                 assert_eq!(
-                    workload,
+                    config.mode,
+                    roboshape_serve::loadgen::LoadMode::Open { rate_hz: 50.0 }
+                );
+                assert_eq!(
+                    config.workload,
                     roboshape_serve::loadgen::Workload::Step(
                         roboshape::KernelKind::ForwardKinematics
                     )
@@ -2004,8 +2160,11 @@ mod tests {
         ]))
         .unwrap();
         match c.command {
-            Command::Loadgen { workload, .. } => {
-                assert_eq!(workload, roboshape_serve::loadgen::Workload::Rollout(4));
+            Command::Loadgen { config, .. } => {
+                assert_eq!(
+                    config.workload,
+                    roboshape_serve::loadgen::Workload::Rollout(4)
+                );
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2020,8 +2179,8 @@ mod tests {
         ]))
         .unwrap();
         match c.command {
-            Command::Loadgen { workload, .. } => {
-                assert_eq!(workload, roboshape_serve::loadgen::Workload::Mixed);
+            Command::Loadgen { config, .. } => {
+                assert_eq!(config.workload, roboshape_serve::loadgen::Workload::Mixed);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2065,14 +2224,14 @@ mod tests {
         ]))
         .unwrap();
         match c.command {
-            Command::Serve {
-                chaos: Some(chaos),
-                deadline_ms,
-                ..
-            } => {
+            Command::Serve { engine, .. } => {
+                let chaos = engine.chaos.unwrap();
                 assert_eq!(chaos.seed, 7);
                 assert!((chaos.crash - 0.1).abs() < 1e-12);
-                assert_eq!(deadline_ms, Some(20));
+                assert_eq!(
+                    engine.default_deadline,
+                    Some(std::time::Duration::from_millis(20))
+                );
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2090,13 +2249,9 @@ mod tests {
         ]))
         .unwrap();
         match c.command {
-            Command::Loadgen {
-                retries,
-                timeout_ms,
-                ..
-            } => {
-                assert_eq!(retries, 6);
-                assert_eq!(timeout_ms, Some(250));
+            Command::Loadgen { config, .. } => {
+                assert_eq!(config.retry.max_attempts, 6);
+                assert_eq!(config.timeout, Some(std::time::Duration::from_millis(250)));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2140,9 +2295,9 @@ mod tests {
 
         let c = parse_args(&args(&["serve", "zoo", "--shard", "s0", "--loops", "2"])).unwrap();
         match c.command {
-            Command::Serve { shard, loops, .. } => {
-                assert_eq!(shard.as_deref(), Some("s0"));
-                assert_eq!(loops, 2);
+            Command::Serve { server, .. } => {
+                assert_eq!(server.shard_name, "s0");
+                assert_eq!(server.loops, 2);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -2158,9 +2313,11 @@ mod tests {
         ]))
         .unwrap();
         match c.command {
-            Command::Loadgen { cluster, seed, .. } => {
+            Command::Loadgen {
+                cluster, config, ..
+            } => {
                 assert!(cluster);
-                assert_eq!(seed, 9);
+                assert_eq!(config.seed, 9);
             }
             other => panic!("unexpected {other:?}"),
         }

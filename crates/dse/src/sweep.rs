@@ -29,7 +29,7 @@ use roboshape_arch::{AcceleratorKnobs, DseModel, KernelKind, MatmulUnits, Resour
 use roboshape_blocksparse::{block_matmul_latency, MatmulLatencyModel};
 use roboshape_obs as obs;
 use roboshape_pipeline::{FragmentHasher, FragmentId, PatternKind, Pipeline, PipelineStage};
-use roboshape_taskgraph::{schedule_makespan, Schedule, SchedulerConfig, Stage, TaskGraph};
+use roboshape_taskgraph::{schedule_makespan, SchedulerConfig, TaskGraph};
 use roboshape_topology::Topology;
 
 const KERNEL: KernelKind = KernelKind::DynamicsGradient;
@@ -169,7 +169,7 @@ fn note_fragment(pipeline: &Pipeline, stage: PipelineStage, hit: bool) {
 
 /// The `(pe_fwd, pe_bwd)` traversal makespan through the fragment store.
 /// A miss schedules through the Schedules stage (populating the coarse
-/// store with the full [`Schedule`] artifact as before) and memoizes the
+/// store with the full [`Schedule`](roboshape_taskgraph::Schedule) artifact as before) and memoizes the
 /// scalar.
 pub(crate) fn traversal_makespan(
     pipeline: &Pipeline,
@@ -187,7 +187,7 @@ pub(crate) fn traversal_makespan(
 
 /// [`traversal_makespan`] through the makespan-only scheduler entry
 /// point: a miss runs [`roboshape_taskgraph::schedule_makespan`] — no
-/// entry list, no full [`Schedule`] artifact — and memoizes the scalar
+/// entry list, no full [`Schedule`](roboshape_taskgraph::Schedule) artifact — and memoizes the scalar
 /// under the *same* fragment id, so pruned and exhaustive sweeps share
 /// warmth in both directions.
 fn traversal_makespan_fast(
@@ -248,15 +248,6 @@ fn mm_latency_fast(pipeline: &Pipeline, topo: &Topology, block: usize) -> u64 {
     }
     note_fragment(pipeline, PipelineStage::BlockPlans, hit);
     v
-}
-
-/// Per-block-size latencies of the blocked `M⁻¹` multiply for block sizes
-/// `1..=N`, through the fragment store. The left operand is M⁻¹ (fills in
-/// vs. M at mid-limb branches), so latency is modeled on its pattern.
-fn mm_latencies(pipeline: &Pipeline, topo: &Topology) -> Vec<u64> {
-    (1..=topo.len())
-        .map(|b| mm_latency(pipeline, topo, b))
-        .collect()
 }
 
 fn point(
@@ -445,77 +436,6 @@ pub fn sweep_design_space_exhaustive_with(
         }
     }
     pipeline.observer().add_points(points.len() as u64);
-    points
-}
-
-/// The `N³` design space under *stage-barrier* (non-pipelined) schedules,
-/// through [`Pipeline::global`].
-pub fn sweep_design_space_barrier(topo: &Topology) -> Vec<DesignPoint> {
-    sweep_design_space_barrier_with(Pipeline::global(), topo)
-}
-
-/// [`sweep_design_space_barrier`] against an explicit pipeline.
-///
-/// With a barrier between stages the makespan separates: the RNEA/∇RNEA
-/// forward stages run only on forward PEs and the backward stages only on
-/// backward PEs, so `makespan(PEf, PEb) = F(PEf) + B(PEb)`. That permits
-/// two *half-sweeps* — `N` schedules varying `PEf` plus `N` varying `PEb`
-/// — instead of the `N²` a pipelined sweep needs (cross-stage pipelining
-/// couples the two PE classes, so no such split exists there). The
-/// decomposition is asserted against brute force in this module's tests.
-pub fn sweep_design_space_barrier_with(pipeline: &Pipeline, topo: &Topology) -> Vec<DesignPoint> {
-    let _span = obs::span(OBS_CATEGORY, "sweep-barrier");
-    let sweep_start = Instant::now();
-    let n = topo.len();
-    let graph = pipeline.task_graph(topo, KERNEL);
-    let duration = |s: &Schedule, stage: Stage| -> u64 {
-        s.stage_span(&graph, stage)
-            .map_or(0, |(start, end)| end - start)
-    };
-    let half = |fwd: bool| -> Vec<u64> {
-        (1..=n)
-            .map(|pe| {
-                let (pe_fwd, pe_bwd) = if fwd { (pe, 1) } else { (1, pe) };
-                let cfg = SchedulerConfig::with_pes(pe_fwd, pe_bwd).without_pipelining();
-                let s = pipeline.schedule_for(topo, KERNEL, &cfg);
-                if fwd {
-                    duration(&s, Stage::RneaFwd) + duration(&s, Stage::GradFwd)
-                } else {
-                    duration(&s, Stage::RneaBwd) + duration(&s, Stage::GradBwd)
-                }
-            })
-            .collect()
-    };
-    let fwd_cycles = half(true);
-    let bwd_cycles = half(false);
-    let mm_latency = mm_latencies(pipeline, topo);
-
-    let mut points = Vec::with_capacity(n * n * n);
-    for pe_fwd in 1..=n {
-        for pe_bwd in 1..=n {
-            let makespan = fwd_cycles[pe_fwd - 1] + bwd_cycles[pe_bwd - 1];
-            for block in 1..=n {
-                points.push(point(
-                    n,
-                    pe_fwd,
-                    pe_bwd,
-                    block,
-                    makespan,
-                    mm_latency[block - 1],
-                ));
-            }
-        }
-    }
-    let count = (n * n * n) as u64;
-    pipeline.observer().add_points(count);
-    let wall = sweep_start.elapsed();
-    // Single-threaded: the whole sweep is its own busy time.
-    record_sweep_metrics(
-        count,
-        wall,
-        u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
-        1,
-    );
     points
 }
 
@@ -797,18 +717,39 @@ mod tests {
         assert_eq!(incremental, oracle);
     }
 
+    /// `(hits, misses)` of `pipeline`'s fragment lookups so far. Counted
+    /// on the pipeline under test, not the process-global `dse.frag.*`
+    /// counters, which sibling tests bump concurrently: a miss adds one
+    /// fragment to the store, and a hit is recorded by the observer
+    /// against the stage it stood in for.
+    fn fragment_counts(pipeline: &Pipeline) -> (u64, u64) {
+        let hits = pipeline
+            .observer()
+            .report()
+            .stages
+            .iter()
+            .filter(|s| {
+                matches!(
+                    s.stage,
+                    PipelineStage::Schedules | PipelineStage::BlockPlans
+                )
+            })
+            .map(|s| s.hits)
+            .sum();
+        (hits, pipeline.store().stats().fragments as u64)
+    }
+
     #[test]
     fn grid_delta_recompiles_only_the_delta() {
         let topo = Topology::chain(6);
         let pipeline = Pipeline::new();
-        let m = obs::metrics();
         let small = SweepGrid {
             pe_fwd: vec![1, 2],
             pe_bwd: vec![1, 2],
             block: vec![1, 2],
         };
         sweep_design_space_grid_with(&pipeline, &topo, &small);
-        let misses_after_small = m.counter(FRAG_MISSES_METRIC).get();
+        let (hits_before, misses_before) = fragment_counts(&pipeline);
 
         // Grow every axis by one value: the 4 old (pf, pb) pairs and the
         // 2 old block sizes must all come from the fragment store; only
@@ -818,15 +759,15 @@ mod tests {
             pe_bwd: vec![1, 2, 3],
             block: vec![1, 2, 3],
         };
-        let hits_before = m.counter(FRAG_HITS_METRIC).get();
         let pts = sweep_design_space_grid_with(&pipeline, &topo, &grown);
         assert_eq!(pts.len(), 27);
+        let (hits, misses) = fragment_counts(&pipeline);
         assert_eq!(
-            m.counter(FRAG_MISSES_METRIC).get() - misses_after_small,
+            misses - misses_before,
             5 + 1,
             "re-sweep after a grid change must recompile only the delta"
         );
-        assert_eq!(m.counter(FRAG_HITS_METRIC).get() - hits_before, 4 + 2);
+        assert_eq!(hits - hits_before, 4 + 2);
 
         // The grown grid's points agree with the full sweep's subset.
         let full = sweep_design_space_with(&pipeline, &topo);
@@ -912,11 +853,10 @@ mod tests {
         let topo = zoo(Zoo::Hyq).topology().clone();
         let pipeline = Pipeline::new();
         sweep_design_space_with(&pipeline, &topo);
-        let m = obs::metrics();
-        let misses_before = m.counter(FRAG_MISSES_METRIC).get();
+        let (_, misses_before) = fragment_counts(&pipeline);
         sweep_design_space_pruned_with(&pipeline, &topo);
         assert_eq!(
-            m.counter(FRAG_MISSES_METRIC).get(),
+            fragment_counts(&pipeline).1,
             misses_before,
             "pruned sweep recomputed fragments the full sweep had cached"
         );
@@ -964,52 +904,6 @@ mod tests {
         record_sweep_metrics(10, std::time::Duration::from_millis(1), 1_000_000, 2);
         assert!((m.gauge("dse.worker_utilization_pct").get() - 50.0).abs() < 1e-6);
         assert_eq!(m.counter("dse.worker_oversubscribed").get(), before + 1);
-    }
-
-    #[test]
-    fn barrier_half_sweep_matches_brute_force() {
-        // The N+N half-sweep decomposition makespan(PEf, PEb) =
-        // F(PEf) + B(PEb) must reproduce the full N² barrier schedules —
-        // including on a mid-limb-branching topology.
-        let branched =
-            Topology::new(vec![None, Some(0), Some(1), Some(2), Some(2), Some(4)]).unwrap();
-        for topo in [
-            Topology::chain(5),
-            branched,
-            zoo(Zoo::Hyq).topology().clone(),
-        ] {
-            let n = topo.len();
-            let graph = roboshape_taskgraph::TaskGraph::dynamics_gradient(&topo);
-            let half = sweep_design_space_barrier_with(&Pipeline::new(), &topo);
-            for pe_fwd in 1..=n {
-                for pe_bwd in 1..=n {
-                    let cfg = SchedulerConfig::with_pes(pe_fwd, pe_bwd).without_pipelining();
-                    let brute = roboshape_taskgraph::schedule(&graph, &cfg).makespan();
-                    let p = half
-                        .iter()
-                        .find(|p| p.pe_fwd == pe_fwd && p.pe_bwd == pe_bwd && p.block == 1)
-                        .unwrap();
-                    assert_eq!(
-                        p.traversal_cycles, brute,
-                        "n={n} PEf={pe_fwd} PEb={pe_bwd}: half-sweep diverges"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn barrier_sweep_covers_grid_and_bounds_pipelined() {
-        let topo = zoo(Zoo::Jaco2).topology().clone();
-        let pipeline = Pipeline::new();
-        let barrier = sweep_design_space_barrier_with(&pipeline, &topo);
-        let pipelined = sweep_design_space_with(&pipeline, &topo);
-        assert_eq!(barrier.len(), pipelined.len());
-        for (b, p) in barrier.iter().zip(&pipelined) {
-            assert_eq!((b.pe_fwd, b.pe_bwd, b.block), (p.pe_fwd, p.pe_bwd, p.block));
-            // Removing cross-stage pipelining can only lengthen traversal.
-            assert!(b.traversal_cycles >= p.traversal_cycles);
-        }
     }
 
     #[test]

@@ -6,8 +6,7 @@
 
 use roboshape_arch::{KernelKind, Platform};
 use roboshape_dse::{
-    constrained_selection, evaluate_strategies_with, pareto_frontier,
-    sweep_design_space_barrier_with, sweep_design_space_with,
+    constrained_selection, evaluate_strategies_with, pareto_frontier, sweep_design_space_with,
 };
 use roboshape_pipeline::Pipeline;
 use roboshape_robots::{zoo, Zoo};
@@ -111,23 +110,6 @@ fn repeated_sweeps_are_deterministic() {
     for round in 1..10 {
         let again = sweep_design_space_with(&pipeline, robot.topology());
         assert_eq!(first, again, "round {round} diverged");
-    }
-}
-
-#[test]
-fn warm_barrier_sweep_is_bit_identical_to_cold() {
-    for which in [Zoo::Iiwa, Zoo::Jaco2, Zoo::Hyq] {
-        let robot = zoo(which);
-        let topo = robot.topology();
-        let pipeline = Pipeline::new();
-        let cold = sweep_design_space_barrier_with(&pipeline, topo);
-        let warm = sweep_design_space_barrier_with(&pipeline, topo);
-        assert_eq!(cold, warm, "{which:?}: warm barrier sweep diverged");
-        assert_eq!(
-            sweep_design_space_barrier_with(&Pipeline::new(), topo),
-            cold,
-            "{which:?}: fresh-store barrier sweep diverged"
-        );
     }
 }
 

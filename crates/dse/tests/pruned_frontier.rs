@@ -6,9 +6,8 @@
 
 use roboshape_dse::{
     pareto_frontier, sweep_design_space_exhaustive_with, sweep_design_space_pruned_with,
-    sweep_design_space_with, verify_frontier, FRAG_MISSES_METRIC,
+    sweep_design_space_with, verify_frontier,
 };
-use roboshape_obs as obs;
 use roboshape_pipeline::Pipeline;
 use roboshape_robots::{zoo, Zoo};
 use roboshape_topology::Topology;
@@ -30,15 +29,17 @@ fn check_topology(label: &str, topo: &Topology) {
         "{label}: incremental frontier diverged"
     );
 
-    // Two consecutive warm runs: bit-identical, zero fragment misses.
-    let m = obs::metrics();
-    let misses_after_cold = m.counter(FRAG_MISSES_METRIC).get();
+    // Two consecutive warm runs: bit-identical, zero fragment misses. A
+    // miss adds a fragment to this pipeline's store; the process-global
+    // `dse.frag.misses` counter would also see sibling tests' sweeps.
+    let fragments = || pipeline.store().stats().fragments;
+    let misses_after_cold = fragments();
     let warm1 = sweep_design_space_with(&pipeline, topo);
     let warm2 = sweep_design_space_with(&pipeline, topo);
     assert_eq!(warm1, cold, "{label}: first warm run diverged");
     assert_eq!(warm1, warm2, "{label}: consecutive warm runs diverged");
     assert_eq!(
-        m.counter(FRAG_MISSES_METRIC).get(),
+        fragments(),
         misses_after_cold,
         "{label}: warm re-sweep compiled new fragments"
     );
@@ -64,11 +65,11 @@ fn check_topology(label: &str, topo: &Topology) {
 
     // A pruned sweep over a fragment store warmed by the full sweep must
     // not compute anything new.
-    let misses_before = m.counter(FRAG_MISSES_METRIC).get();
+    let misses_before = fragments();
     let pruned_on_warm = sweep_design_space_pruned_with(&pipeline, topo);
     assert_eq!(pruned_on_warm.frontier, oracle_frontier, "{label}");
     assert_eq!(
-        m.counter(FRAG_MISSES_METRIC).get(),
+        fragments(),
         misses_before,
         "{label}: pruned sweep over a warm store recomputed fragments"
     );

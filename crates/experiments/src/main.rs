@@ -29,7 +29,9 @@ fn parse_zoo_flags(rest: &[String]) -> Result<(usize, u64), String> {
             "--n" => {
                 n = value
                     .parse()
-                    .map_err(|_| format!("--n needs a positive integer, got `{value}`"))?;
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("--n needs a positive integer, got `{value}`"))?;
             }
             "--seed" => {
                 seed = value
@@ -117,4 +119,30 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_zoo_flags;
+
+    fn flags(v: &[&str]) -> Result<(usize, u64), String> {
+        parse_zoo_flags(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn zoo_flags_parse_and_default() {
+        assert_eq!(flags(&[]), Ok((120, 42)));
+        assert_eq!(flags(&["--n", "16", "--seed", "7"]), Ok((16, 7)));
+    }
+
+    #[test]
+    fn zoo_population_must_be_positive() {
+        let err = flags(&["--n", "0"]).unwrap_err();
+        assert!(
+            err.contains("--n needs a positive integer, got `0`"),
+            "{err}"
+        );
+        assert!(flags(&["--n", "-3"]).is_err());
+        assert!(flags(&["--n", "many"]).is_err());
+    }
 }

@@ -28,6 +28,8 @@
 //!   one-screen text summary (`experiments all`).
 //! * **JSON** — [`json`] holds the dependency-free writer/validator the
 //!   sinks use (the workspace vendors no serde implementation).
+//! * **Hashes** — [`hash`] holds the workspace's one FNV-1a 64 and one
+//!   SplitMix64, stable across processes and builds.
 //!
 //! Entry points: [`span`] + [`SpanGuard`] for tracing, [`metrics`] +
 //! [`MetricsRegistry`] for metrics, [`set_sink`] + [`ChromeTraceSink`]
@@ -56,6 +58,7 @@
 
 #![deny(missing_docs)]
 
+pub mod hash;
 pub mod json;
 mod metrics;
 mod sink;

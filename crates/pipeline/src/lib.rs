@@ -73,6 +73,7 @@ use parking_lot::RwLock;
 use roboshape_arch::{AcceleratorDesign, AcceleratorKnobs, KernelKind};
 use roboshape_blocksparse::{BlockMatmulPlan, SparsityPattern};
 use roboshape_obs as obs;
+use roboshape_obs::hash::{FNV1A64_OFFSET, FNV1A64_PRIME};
 use roboshape_obs::{Counter, Sink, SpanRecord};
 use roboshape_sim::{BackendKind, CompiledProgram};
 use roboshape_taskgraph::{schedule, Schedule, SchedulerConfig, TaskCosts, TaskGraph};
@@ -198,11 +199,9 @@ pub enum PatternKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FragmentId([u64; 2]);
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Second-lane offset basis: the standard basis with its halves swapped,
 /// so the two lanes walk different hash streams over the same bytes.
-const FNV_OFFSET_ALT: u64 = FNV_OFFSET.rotate_left(32) ^ 0x9e37_79b9_7f4a_7c15;
+const FNV_OFFSET_ALT: u64 = FNV1A64_OFFSET.rotate_left(32) ^ 0x9e37_79b9_7f4a_7c15;
 
 /// Incremental hasher building a [`FragmentId`] from a domain tag and a
 /// stream of integers/bytes.
@@ -232,7 +231,7 @@ impl FragmentHasher {
     /// spaces: identical knob streams under different tags never collide).
     pub fn new(domain: &str) -> FragmentHasher {
         FragmentHasher {
-            lanes: [FNV_OFFSET, FNV_OFFSET_ALT],
+            lanes: [FNV1A64_OFFSET, FNV_OFFSET_ALT],
         }
         .bytes(domain.as_bytes())
         .byte(0xff) // terminator: "ab" + "c" ≠ "a" + "bc"
@@ -240,7 +239,7 @@ impl FragmentHasher {
 
     fn byte(mut self, b: u8) -> FragmentHasher {
         for lane in &mut self.lanes {
-            *lane = (*lane ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            *lane = (*lane ^ u64::from(b)).wrapping_mul(FNV1A64_PRIME);
         }
         self
     }
@@ -914,6 +913,22 @@ impl Pipeline {
 mod tests {
     use super::*;
     use roboshape_robots::{zoo, Zoo};
+
+    #[test]
+    fn fragment_ids_are_pinned() {
+        // Fragment ids key the store; a silent change to the hash would
+        // only show as lost warmth, so one id is pinned exactly.
+        let id = FragmentHasher::new("dse.sched.makespan")
+            .parents(&[None, Some(0), Some(1), Some(1)])
+            .usize(3)
+            .u64(u64::MAX)
+            .bytes(b"lanes")
+            .finish();
+        assert_eq!(
+            id,
+            FragmentId([0x878a_cc7c_82f9_4b7f, 0x50ea_4860_a2a1_a2eb])
+        );
+    }
 
     #[test]
     fn artifacts_hit_on_second_access() {

@@ -29,6 +29,7 @@
 //! analytical clock-period model while open (tagged degraded), and
 //! half-opens after `cooldown` to let one probe through.
 
+use roboshape_obs::hash::splitmix64;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -122,14 +123,6 @@ pub enum CorruptionMode {
     /// The length prefix is rewritten above the frame cap (the client's
     /// framing layer rejects it immediately).
     OversizedLength,
-}
-
-/// SplitMix64 — the standard 64-bit finalizer; good avalanche, no state.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A deterministic fault schedule: pure decisions from `(seed, site,

@@ -65,7 +65,7 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
 
 /// Tuning knobs for [`Server::start_with`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerOptions {
     /// Name announced in hello (handshake) responses; shards set their
     /// operator-assigned name here.

@@ -32,11 +32,7 @@ pub const VNODES_PER_SHARD: usize = 64;
 /// like — which clumps points on the circle; the finalizer (Murmur3's
 /// fmix64) spreads them uniformly.
 fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = roboshape_obs::hash::fnv1a64(bytes);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -194,6 +190,21 @@ mod tests {
 
     fn names(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("shard-{i}")).collect()
+    }
+
+    #[test]
+    fn ring_owners_are_pinned() {
+        // Routers and shards in different builds must agree on ownership,
+        // so the ring hash is part of the wire contract.
+        let ring = HashRing::new(&names(3));
+        let owners: Vec<usize> = [
+            "iiwa", "HyQ", "baxter", "jaco2", "jaco3", "hyq_arm", "snake",
+        ]
+        .iter()
+        .map(|robot| ring.owner(robot))
+        .collect();
+        assert_eq!(owners, vec![2, 1, 2, 1, 1, 0, 0]);
+        assert_eq!(fnv64(b"iiwa"), 0x13ab_874a_8b89_25d8);
     }
 
     #[test]

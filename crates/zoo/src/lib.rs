@@ -29,6 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use roboshape_linalg::{Mat3, Vec3};
 use roboshape_obs as obs;
+use roboshape_obs::hash::splitmix64;
 use roboshape_spatial::{Joint, SpatialInertia, Xform};
 use roboshape_topology::TopologyMetrics;
 use roboshape_urdf::{LinkHandle, RobotBuilder, RobotModel};
@@ -283,15 +284,6 @@ fn check_total(links: usize) -> Result<(), ZooError> {
         return Err(ZooError::TooManyLinks { requested: links });
     }
     Ok(())
-}
-
-/// SplitMix64 — the per-sample seed derivation for [`population`].
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Generates one sample. The name encodes `(family, params, seed)`, so
