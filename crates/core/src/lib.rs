@@ -202,24 +202,16 @@ impl Framework {
     /// leaf depth, backward PEs = max descendants), and the latency-minimal
     /// block size within the allowed range (Sec. 4.3).
     pub fn choose_knobs(&self, constraints: Constraints) -> AcceleratorKnobs {
-        let topo = self.robot.topology();
-        let n = topo.len();
         let m = self.metrics();
         let pe_fwd = m.max_leaf_depth.min(constraints.max_pe_fwd).max(1);
         let pe_bwd = m.max_descendants.min(constraints.max_pe_bwd).max(1);
         // Block size: minimize the blocked-mat-mul latency (NOP skipping
-        // vs padding waste), per-link units. Plans come from the pipeline
-        // store, so a prior sweep makes this a pure lookup.
-        let model = MatmulLatencyModel::default();
-        let max_block = constraints.max_block.min(n).max(1);
-        let units = MatmulUnits::PerLink.resolve(n);
-        let block = (1..=max_block)
-            .min_by_key(|&b| {
-                self.pipeline
-                    .block_plan(topo, PatternKind::InverseMass, 2 * n, b, units)
-                    .latency(&model)
-            })
-            .expect("non-empty block range");
+        // vs padding waste), per-link units. Latencies come from the
+        // pipeline's fragment store, so a prior sweep makes this a pure
+        // lookup, and no block plan is built until a design needs one.
+        let block = self
+            .pipeline
+            .fastest_block(self.robot.topology(), constraints.max_block);
         AcceleratorKnobs::new(pe_fwd, pe_bwd, block)
     }
 
@@ -353,6 +345,29 @@ mod tests {
             "expected leg-aligned block, got {}",
             knobs.block_size
         );
+    }
+
+    #[test]
+    fn capped_block_choices_are_pinned() {
+        // The latency-minimal block size under caps 1..=8 on a fresh
+        // pipeline: the first block size reaching the minimum wins ties.
+        let pinned: [(Zoo, [usize; 8]); 6] = [
+            (Zoo::Iiwa, [1, 2, 3, 4, 4, 4, 7, 7]),
+            (Zoo::Hyq, [1, 2, 3, 3, 3, 3, 3, 3]),
+            (Zoo::Baxter, [1, 2, 3, 4, 5, 5, 5, 8]),
+            (Zoo::Jaco2, [1, 2, 3, 4, 5, 5, 5, 5]),
+            (Zoo::Jaco3, [1, 2, 3, 4, 4, 6, 6, 8]),
+            (Zoo::HyqArm, [1, 2, 3, 3, 3, 3, 3, 3]),
+        ];
+        let got = pinned.map(|(robot, _)| {
+            let fw = Framework::from_model(zoo(robot)).with_pipeline(Pipeline::new());
+            let caps: [usize; 8] = std::array::from_fn(|i| i + 1);
+            (
+                robot,
+                caps.map(|cap| fw.choose_knobs(Constraints::new(1, 1, cap)).block_size),
+            )
+        });
+        assert_eq!(got, pinned);
     }
 
     #[test]

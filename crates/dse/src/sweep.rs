@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use roboshape_arch::{AcceleratorKnobs, DseModel, KernelKind, MatmulUnits, Resources};
-use roboshape_blocksparse::{block_matmul_latency, MatmulLatencyModel};
+use roboshape_blocksparse::MatmulLatencyModel;
 use roboshape_obs as obs;
 use roboshape_pipeline::{FragmentHasher, FragmentId, PatternKind, Pipeline, PipelineStage};
 use roboshape_taskgraph::{schedule_makespan, SchedulerConfig, TaskGraph};
@@ -133,38 +133,22 @@ fn makespan_fragment_id(topo: &Topology, cfg: &SchedulerConfig) -> FragmentId {
         .finish()
 }
 
-/// Content address of a blocked mat-mul latency fragment: pattern kind
-/// plus the full plan geometry and the latency model's fill overhead.
-fn mm_latency_fragment_id(
-    topo: &Topology,
-    b_cols: usize,
-    block: usize,
-    units: usize,
-    model: &MatmulLatencyModel,
-) -> FragmentId {
-    FragmentHasher::new("dse.block.latency")
-        .parents(topo.parents())
-        .u64(match PatternKind::InverseMass {
-            PatternKind::Mass => 0,
-            PatternKind::InverseMass => 1,
-        })
-        .usize(b_cols)
-        .usize(block)
-        .usize(units)
-        .u64(model.fill)
-        .finish()
-}
-
 fn note_fragment(pipeline: &Pipeline, stage: PipelineStage, hit: bool) {
-    let m = obs::metrics();
+    count_fragment(hit);
     if hit {
-        m.counter(FRAG_HITS_METRIC).add(1);
         // A fragment hit stands in for the stage computation it avoided,
         // so warm sweeps keep reading as store hits in `--timings`.
         pipeline.observer().hit(stage);
-    } else {
-        m.counter(FRAG_MISSES_METRIC).add(1);
     }
+}
+
+fn count_fragment(hit: bool) {
+    let name = if hit {
+        FRAG_HITS_METRIC
+    } else {
+        FRAG_MISSES_METRIC
+    };
+    obs::metrics().counter(name).add(1);
 }
 
 /// The `(pe_fwd, pe_bwd)` traversal makespan through the fragment store.
@@ -211,42 +195,12 @@ fn traversal_makespan_fast(
     v
 }
 
-/// The block-size-`b` latency of the blocked `M⁻¹` multiply through the
-/// fragment store. A miss builds the full plan through the BlockPlans
-/// stage (keeping the coarse store warm for design assembly).
+/// The block-size-`block` latency of the blocked `M⁻¹` multiply:
+/// [`Pipeline::matmul_latency`] (closed form, through the fragment store),
+/// counted in the sweep's fragment counters.
 fn mm_latency(pipeline: &Pipeline, topo: &Topology, block: usize) -> u64 {
-    let n = topo.len();
-    let model = MatmulLatencyModel::default();
-    let units = MatmulUnits::PerLink.resolve(n);
-    let id = mm_latency_fragment_id(topo, 2 * n, block, units, &model);
-    let (v, hit) = pipeline.fragment_u64(id, || {
-        pipeline
-            .block_plan(topo, PatternKind::InverseMass, 2 * n, block, units)
-            .latency(&model)
-    });
-    note_fragment(pipeline, PipelineStage::BlockPlans, hit);
-    v
-}
-
-/// [`mm_latency`] through the closed-form latency entry point: a miss
-/// runs [`roboshape_blocksparse::block_matmul_latency`] over the cached
-/// sparsity pattern — no op list is materialized — and memoizes under
-/// the same fragment id as the plan-backed path.
-fn mm_latency_fast(pipeline: &Pipeline, topo: &Topology, block: usize) -> u64 {
-    let n = topo.len();
-    let model = MatmulLatencyModel::default();
-    let units = MatmulUnits::PerLink.resolve(n);
-    let id = mm_latency_fragment_id(topo, 2 * n, block, units, &model);
-    let (v, hit) = pipeline.fragment_u64(id, || {
-        let pattern = pipeline.pattern(topo, PatternKind::InverseMass);
-        pipeline.observer().time(PipelineStage::BlockPlans, || {
-            block_matmul_latency(&pattern, 2 * n, block, units, &model)
-        })
-    });
-    if !hit {
-        pipeline.observer().miss(PipelineStage::BlockPlans);
-    }
-    note_fragment(pipeline, PipelineStage::BlockPlans, hit);
+    let (v, hit) = pipeline.matmul_latency(topo, block);
+    count_fragment(hit);
     v
 }
 
@@ -315,12 +269,13 @@ pub fn sweep_design_space(topo: &Topology) -> Vec<DesignPoint> {
 ///
 /// Incremental: each point is a join of a per-`(PEf, PEb)` makespan
 /// fragment and a per-block latency fragment, so a warm re-sweep reads
-/// `N²+N` cached scalars instead of recomputing anything. Cold misses
-/// compute through the Schedules/BlockPlans stages (the coarse artifacts
-/// land in the store exactly as before). The schedule work is spread over
-/// a worker pool bounded by the machine's available parallelism. Points
-/// are returned sorted by `(pe_fwd, pe_bwd, block)` regardless of worker
-/// interleaving.
+/// `N²+N` cached scalars instead of recomputing anything. Cold makespan
+/// misses schedule through the Schedules stage (the schedules land in the
+/// coarse store); block latencies come from the closed form
+/// ([`Pipeline::matmul_latency`]), so no block plan is built. The
+/// schedule work is spread over a worker pool bounded by the machine's
+/// available parallelism. Points are returned sorted by
+/// `(pe_fwd, pe_bwd, block)` regardless of worker interleaving.
 pub fn sweep_design_space_with(pipeline: &Pipeline, topo: &Topology) -> Vec<DesignPoint> {
     sweep_design_space_grid_with(pipeline, topo, &SweepGrid::full(topo.len()))
 }
@@ -569,9 +524,7 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
     let sweep_start = Instant::now();
     let n = topo.len();
     let graph = pipeline.task_graph(topo, KERNEL);
-    let mm: Vec<u64> = (1..=n)
-        .map(|b| mm_latency_fast(pipeline, topo, b))
-        .collect();
+    let mm: Vec<u64> = (1..=n).map(|b| mm_latency(pipeline, topo, b)).collect();
 
     // Far-edge rows, scheduled upfront (in parallel) to certify lower
     // bounds for the whole interior: (pf, n) for pf in 1..=n, then

@@ -70,8 +70,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
-use roboshape_arch::{AcceleratorDesign, AcceleratorKnobs, KernelKind};
-use roboshape_blocksparse::{BlockMatmulPlan, SparsityPattern};
+use roboshape_arch::{AcceleratorDesign, AcceleratorKnobs, KernelKind, MatmulUnits};
+use roboshape_blocksparse::{
+    block_matmul_latency, BlockMatmulPlan, MatmulLatencyModel, SparsityPattern,
+};
 use roboshape_obs as obs;
 use roboshape_obs::hash::{FNV1A64_OFFSET, FNV1A64_PRIME};
 use roboshape_obs::{Counter, Sink, SpanRecord};
@@ -807,6 +809,52 @@ impl Pipeline {
         Arc::clone(self.store.plans.write().entry(key).or_insert(p))
     }
 
+    /// BlockPlans stage, closed form: the latency of the ∇FD kernel's
+    /// blocked `M⁻¹` multiply (`n×n · n×2n`, per-link units, default
+    /// latency model) at block size `block`, through the fragment store.
+    ///
+    /// A miss runs [`block_matmul_latency`] over the cached pattern, so no
+    /// op list is built; the plan itself is materialised only by
+    /// [`Self::block_plan`], for the block a design actually uses. The
+    /// fragment id is the one the DSE sweeps join on, so knob choice and
+    /// sweeps share warmth both ways. Returns the latency and whether it
+    /// was a fragment hit.
+    pub fn matmul_latency(&self, topo: &Topology, block: usize) -> (u64, bool) {
+        let n = topo.len();
+        let model = MatmulLatencyModel::default();
+        let units = MatmulUnits::PerLink.resolve(n);
+        let id = FragmentHasher::new("dse.block.latency")
+            .parents(topo.parents())
+            .u64(1) // PatternKind::InverseMass
+            .usize(2 * n)
+            .usize(block)
+            .usize(units)
+            .u64(model.fill)
+            .finish();
+        let (v, hit) = self.fragment_u64(id, || {
+            let pattern = self.pattern(topo, PatternKind::InverseMass);
+            self.observer.time(PipelineStage::BlockPlans, || {
+                block_matmul_latency(&pattern, 2 * n, block, units, &model)
+            })
+        });
+        if hit {
+            self.observer.hit(PipelineStage::BlockPlans);
+        } else {
+            self.observer.miss(PipelineStage::BlockPlans);
+        }
+        (v, hit)
+    }
+
+    /// The latency-minimal block size in `1..=max_block` (capped at the
+    /// link count) under [`Self::matmul_latency`], the smallest on ties —
+    /// the paper's Sec. 4.3 block-size choice.
+    pub fn fastest_block(&self, topo: &Topology, max_block: usize) -> usize {
+        let _span = obs::span(OBS_CATEGORY, PipelineStage::BlockPlans.name());
+        (1..=max_block.min(topo.len()).max(1))
+            .min_by_key(|&b| self.matmul_latency(topo, b).0)
+            .expect("non-empty block range")
+    }
+
     /// Design stage: a fully-elaborated [`AcceleratorDesign`], assembled
     /// from cached parts (graph, both schedules, block plan). Produces a
     /// design identical to [`AcceleratorDesign::generate_for_kernel`].
@@ -928,6 +976,35 @@ mod tests {
             id,
             FragmentId([0x878a_cc7c_82f9_4b7f, 0x50ea_4860_a2a1_a2eb])
         );
+    }
+
+    #[test]
+    fn block_choice_reads_closed_form_latencies() {
+        let model = MatmulLatencyModel::default();
+        for robot in Zoo::ALL {
+            let topo = zoo(robot).topology().clone();
+            let n = topo.len();
+            let p = Pipeline::new();
+            let best = p.fastest_block(&topo, n);
+            // No plan is built for the search; every block is one
+            // fragment miss, and a second search is all hits.
+            assert_eq!(p.store().stats().block_plans, 0);
+            assert_eq!(p.store().stats().fragments, n);
+            assert_eq!(p.fastest_block(&topo, n), best);
+            let plans = p.observer().report().stages[PipelineStage::BlockPlans.index()];
+            assert_eq!((plans.hits, plans.misses), (n as u64, n as u64));
+            // The closed form agrees with the materialised plans, and the
+            // first minimum wins.
+            let plan_latency = |b: usize| {
+                p.block_plan(&topo, PatternKind::InverseMass, 2 * n, b, n)
+                    .latency(&model)
+            };
+            for b in 1..=n {
+                assert_eq!(p.matmul_latency(&topo, b).0, plan_latency(b));
+            }
+            let oracle = (1..=n).min_by_key(|&b| plan_latency(b)).unwrap();
+            assert_eq!(best, oracle, "{robot:?}");
+        }
     }
 
     #[test]

@@ -13,10 +13,9 @@ use crate::{
     MIXED_REQUESTS_METRIC, OBS_CATEGORY, QUEUE_DEPTH_METRIC, REQUESTS_METRIC, RESPONSES_METRIC,
     ROLLOUT_REQUESTS_METRIC, ROLLOUT_STEPS_METRIC, SHED_METRIC, WORKER_RESTARTS_METRIC,
 };
-use roboshape_arch::{AcceleratorDesign, AcceleratorKnobs, KernelKind, MatmulUnits};
-use roboshape_blocksparse::MatmulLatencyModel;
+use roboshape_arch::{AcceleratorDesign, AcceleratorKnobs, KernelKind};
 use roboshape_obs as obs;
-use roboshape_pipeline::{PatternKind, Pipeline};
+use roboshape_pipeline::Pipeline;
 use roboshape_sim::{BackendKind, CompiledProgram, SimError, SimScratch, Simulation};
 use roboshape_topology::Topology;
 use roboshape_urdf::RobotModel;
@@ -444,22 +443,28 @@ impl Ticket {
     }
 
     pub(crate) fn fulfill(&self, result: ServeResult) {
-        let fulfilled = self.fulfill_if_unresolved(result);
-        debug_assert!(fulfilled, "ticket fulfilled twice");
+        let claimed = self.claim();
+        debug_assert!(claimed, "ticket fulfilled twice");
+        if claimed {
+            self.publish(result);
+        }
     }
 
-    /// Resolves the ticket unless something already did; returns whether
-    /// *this* call resolved it. Crash cleanup uses this so an already-
-    /// answered request is never clobbered with `WorkerCrashed`.
-    pub(crate) fn fulfill_if_unresolved(&self, result: ServeResult) -> bool {
-        if self
-            .cell
+    /// Claims the right to resolve the ticket; returns whether *this*
+    /// call won it. Crash cleanup claims first so an already-answered
+    /// request is never clobbered with `WorkerCrashed`, and so it can
+    /// account for the crash before [`Ticket::publish`] makes the result
+    /// visible to waiters.
+    pub(crate) fn claim(&self) -> bool {
+        self.cell
             .resolved
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return false;
-        }
+            .is_ok()
+    }
+
+    /// Stores the result of a ticket this caller [claimed](Ticket::claim)
+    /// and wakes its waiters and watcher.
+    pub(crate) fn publish(&self, result: ServeResult) {
         {
             let mut slot = self.cell.slot.lock().expect("ticket poisoned");
             *slot = Some(result);
@@ -479,7 +484,6 @@ impl Ticket {
         if let Some(callback) = watcher {
             callback();
         }
-        true
     }
 
     /// Blocks until the engine resolves this request.
@@ -1129,20 +1133,12 @@ fn validate(model: &RobotModel, req: &ServeRequest) -> Result<(), ServeError> {
 /// Topology-derived default knobs, mirroring the framework's Hybrid
 /// heuristic: forward PEs track leaf depth, backward PEs track the
 /// largest subtree, and the block size minimises the blocked-mat-mul
-/// latency under the default model (computed through the pipeline, so
-/// the plans land in the shared store pre-warmed for simulation).
+/// latency under the default model ([`Pipeline::fastest_block`]: closed
+/// form through the fragment store; only the chosen block's plan is
+/// built, when the design is assembled).
 fn default_knobs(pipeline: &Pipeline, topo: &Topology) -> AcceleratorKnobs {
     let m = topo.metrics();
-    let n = m.total_links.max(1);
-    let model = MatmulLatencyModel::default();
-    let units = MatmulUnits::PerLink.resolve(n);
-    let block = (1..=n)
-        .min_by_key(|&b| {
-            pipeline
-                .block_plan(topo, PatternKind::InverseMass, 2 * n, b, units)
-                .latency(&model)
-        })
-        .unwrap_or(n);
+    let block = pipeline.fastest_block(topo, m.total_links);
     AcceleratorKnobs::new(m.max_leaf_depth.max(1), m.max_descendants.max(1), block)
 }
 
@@ -1254,16 +1250,20 @@ fn worker_loop(inner: Arc<EngineInner>, slot: Arc<RobotSlot>) -> WorkerExit {
         let crashed = !matches!(outcome, Ok(ExecOutcome::Completed));
         if crashed {
             for (ticket, probe, enqueued) in tickets {
-                if ticket.fulfill_if_unresolved(Err(ServeError::WorkerCrashed)) {
-                    inner.stats.crashed.fetch_add(1, Ordering::Relaxed);
-                    obs::metrics().counter(CRASHED_METRIC).add(1);
-                    obs::metrics().counter(RESPONSES_METRIC).add(1);
-                    let latency_us = enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                    obs::metrics()
-                        .histogram(LATENCY_METRIC, &LATENCY_BOUNDS_US)
-                        .record(latency_us);
-                    record_circuit_failure(&inner, &slot, probe);
+                if !ticket.claim() {
+                    continue;
                 }
+                // Account before publishing, as `submit` does: whoever
+                // wakes on the ticket already sees the crash counted.
+                inner.stats.crashed.fetch_add(1, Ordering::Relaxed);
+                obs::metrics().counter(CRASHED_METRIC).add(1);
+                obs::metrics().counter(RESPONSES_METRIC).add(1);
+                let latency_us = enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                obs::metrics()
+                    .histogram(LATENCY_METRIC, &LATENCY_BOUNDS_US)
+                    .record(latency_us);
+                record_circuit_failure(&inner, &slot, probe);
+                ticket.publish(Err(ServeError::WorkerCrashed));
             }
             return WorkerExit::Crashed;
         }
@@ -1647,6 +1647,7 @@ fn respond(p: &Pending, result: ServeResult) {
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
+    use roboshape_arch::MatmulUnits;
     use roboshape_robots::{zoo, Zoo};
     use roboshape_sim::try_simulate;
 
@@ -1654,6 +1655,56 @@ mod tests {
         let engine = Engine::with_pipeline(cfg, Pipeline::new());
         engine.register(robot.name(), zoo(robot));
         engine
+    }
+
+    #[test]
+    fn zoo_default_knobs_are_pinned() {
+        // `(PEs_fwd, PEs_bwd, block)` each zoo robot registers with: the
+        // Hybrid PE counts and the latency-minimal block size.
+        let pinned = [
+            (Zoo::Iiwa, (7, 7, 7)),
+            (Zoo::Hyq, (3, 3, 3)),
+            (Zoo::Baxter, (7, 7, 8)),
+            (Zoo::Jaco2, (8, 10, 5)),
+            (Zoo::Jaco3, (8, 12, 8)),
+            (Zoo::HyqArm, (7, 7, 3)),
+        ];
+        let engine = Engine::with_pipeline(EngineConfig::default(), Pipeline::new());
+        for (robot, _) in pinned {
+            engine.register(robot.name(), zoo(robot));
+        }
+        let got: Vec<(Zoo, (usize, usize, usize))> = pinned
+            .iter()
+            .map(|&(robot, _)| {
+                let knobs = *engine
+                    .design_for(robot.name(), KernelKind::DynamicsGradient)
+                    .unwrap()
+                    .knobs();
+                for kind in [KernelKind::InverseDynamics, KernelKind::ForwardKinematics] {
+                    assert_eq!(
+                        *engine.design_for(robot.name(), kind).unwrap().knobs(),
+                        knobs
+                    );
+                }
+                assert_eq!(knobs.matmul_units, MatmulUnits::PerLink);
+                (robot, (knobs.pe_fwd, knobs.pe_bwd, knobs.block_size))
+            })
+            .collect();
+        engine.shutdown();
+        assert_eq!(got, pinned);
+    }
+
+    #[test]
+    fn registration_builds_only_the_chosen_block_plan() {
+        // Knob choice reads closed-form latencies; the one plan in the
+        // store is the ∇FD design's, at the chosen block size.
+        let pipeline = Pipeline::new();
+        let engine = Engine::with_pipeline(EngineConfig::default(), pipeline.clone());
+        engine.register(Zoo::HyqArm.name(), zoo(Zoo::HyqArm));
+        engine.shutdown();
+        let stats = pipeline.store().stats();
+        assert_eq!(stats.block_plans, 1);
+        assert_eq!(stats.fragments, zoo(Zoo::HyqArm).num_links());
     }
 
     #[test]

@@ -24,7 +24,8 @@ use roboshape_serve::{
     Client, Engine, EngineConfig, FaultConfig, ServePayload, ServeRequest, Server,
 };
 use roboshape_sim::try_simulate;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 const CHAOS: FaultConfig = FaultConfig {
@@ -34,6 +35,18 @@ const CHAOS: FaultConfig = FaultConfig {
     corrupt: 0.08,
     pressure: 0.05,
 };
+
+/// Serializes the tests of this binary: the soak compares its deltas of
+/// the global `serve.fault.*` counters with one engine's own statistics,
+/// so no other engine may inject faults while it runs.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn global_counter(name: &str) -> u64 {
+    roboshape_obs::metrics().counter(name).get()
+}
 
 fn chaotic_zoo_server() -> Server {
     let engine = Engine::new(EngineConfig {
@@ -63,6 +76,20 @@ fn reconnect(client: &mut Client, addr: std::net::SocketAddr) {
 
 #[test]
 fn chaos_soak_loses_nothing_duplicates_nothing_corrupts_nothing() {
+    let _serial = serial();
+    // The global counters before this soak's engine exists: phase 3
+    // compares what the soak added with the engine's own statistics.
+    let before: HashMap<&str, u64> = [
+        roboshape_serve::FAULT_CRASH_METRIC,
+        roboshape_serve::FAULT_STALL_METRIC,
+        roboshape_serve::FAULT_PRESSURE_METRIC,
+        roboshape_serve::WORKER_RESTARTS_METRIC,
+        roboshape_serve::FAULT_CORRUPT_METRIC,
+        roboshape_serve::RETRY_ATTEMPTS_METRIC,
+    ]
+    .into_iter()
+    .map(|name| (name, global_counter(name)))
+    .collect();
     let server = chaotic_zoo_server();
     let addr = server.addr();
     let engine = server.engine().clone();
@@ -213,15 +240,7 @@ fn chaos_soak_loses_nothing_duplicates_nothing_corrupts_nothing() {
         stats.responses()
     );
 
-    let snapshot = roboshape_obs::metrics().snapshot();
-    let counter = |name: &str| {
-        snapshot
-            .counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
+    let counter = |name: &str| global_counter(name) - before[name];
     assert_eq!(
         counter(roboshape_serve::FAULT_CRASH_METRIC),
         stats.injected_crashes
@@ -266,6 +285,7 @@ fn chaos_soak_loses_nothing_duplicates_nothing_corrupts_nothing() {
 /// this one goes through the whole TCP stack).
 #[test]
 fn same_seed_same_fault_schedule_over_tcp() {
+    let _serial = serial();
     let run = || {
         let engine = Engine::new(EngineConfig {
             workers_per_robot: 1,

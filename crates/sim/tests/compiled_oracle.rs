@@ -128,58 +128,3 @@ fn forward_kinematics_bit_identical_across_zoo() {
         assert_eq!(compiled, oracle, "{which:?}");
     }
 }
-
-#[test]
-fn batch_makespan_memo_hits_after_first_use() {
-    let m = roboshape_obs::metrics();
-    let robot = zoo(Zoo::Jaco3);
-    let n = robot.num_links();
-    // A knob setting no other test uses, so its program (and batch memo)
-    // is cold when this test first touches it.
-    let design = AcceleratorDesign::generate(robot.topology(), AcceleratorKnobs::new(5, 2, 4));
-    let steps: Vec<_> = (0..3)
-        .map(|i| (vec![0.1 * (i + 1) as f64; n], vec![0.02; n], vec![0.3; n]))
-        .collect();
-    let hits_before = m.counter("sim.batch_schedule.hit").get();
-    let misses_before = m.counter("sim.batch_schedule.miss").get();
-    let (_, first) = try_simulate_batch(&robot, &design, &steps).unwrap();
-    assert_eq!(
-        m.counter("sim.batch_schedule.miss").get(),
-        misses_before + 1,
-        "first batch of a given length replicates and schedules"
-    );
-    let (_, second) = try_simulate_batch(&robot, &design, &steps).unwrap();
-    assert_eq!(first, second);
-    assert_eq!(
-        m.counter("sim.batch_schedule.hit").get(),
-        hits_before + 1,
-        "same batch length must come from the memo"
-    );
-    // A different length is a fresh memo entry.
-    let (_, single) = try_simulate_batch(&robot, &design, &steps[..1]).unwrap();
-    assert!(single <= first);
-    assert_eq!(
-        m.counter("sim.batch_schedule.miss").get(),
-        misses_before + 2
-    );
-}
-
-#[test]
-fn repeated_evaluations_reuse_the_bound_scratch() {
-    let m = roboshape_obs::metrics();
-    let robot = zoo(Zoo::Iiwa);
-    let n = robot.num_links();
-    let design = AcceleratorDesign::generate(robot.topology(), AcceleratorKnobs::new(2, 5, 3));
-    let (q, qd, tau) = (vec![0.2; n], vec![0.05; n], vec![0.4; n]);
-    // Bind this thread's scratch to the program, then measure reuse.
-    try_simulate(&robot, &design, &q, &qd, &tau).unwrap();
-    let reuse_before = m.counter("sim.scratch.reuse").get();
-    for _ in 0..4 {
-        try_simulate(&robot, &design, &q, &qd, &tau).unwrap();
-    }
-    assert_eq!(
-        m.counter("sim.scratch.reuse").get(),
-        reuse_before + 4,
-        "warm evaluations must not rebind the scratch arena"
-    );
-}

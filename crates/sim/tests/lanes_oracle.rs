@@ -133,30 +133,3 @@ fn lane_groups_fall_back_to_scalar_errors_on_bad_input() {
         .unwrap_err();
     assert_eq!(format!("{lane_err:?}"), format!("{ref_err:?}"));
 }
-
-#[test]
-fn exec_backend_counters_attribute_lane_and_remainder_evals() {
-    let m = roboshape_obs::metrics();
-    let robot = zoo(Zoo::Hyq);
-    let n = robot.num_links();
-    // Knobs no other test uses, so this program is compiled fresh.
-    let design = AcceleratorDesign::generate(robot.topology(), AcceleratorKnobs::new(3, 1, 5));
-    let lanes = shared_program_for(&design, BackendKind::Lanes);
-    let mut scratch = SimScratch::new();
-    let steps: Vec<_> = (0..6)
-        .map(|i| (vec![0.1 * (i + 1) as f64; n], vec![0.02; n], vec![0.3; n]))
-        .collect();
-    let lane_before = m.counter("sim.exec.lanes.evals").get();
-    let scalar_before = m.counter("sim.exec.scalar.evals").get();
-    lanes.execute_batch(&robot, &mut scratch, &steps).unwrap();
-    assert_eq!(
-        m.counter("sim.exec.lanes.evals").get(),
-        lane_before + 4,
-        "one whole lane group of the 6-entry batch"
-    );
-    assert_eq!(
-        m.counter("sim.exec.scalar.evals").get(),
-        scalar_before + 2,
-        "two remainder entries fall back to the scalar path"
-    );
-}

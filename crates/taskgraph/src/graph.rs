@@ -139,73 +139,59 @@ impl TaskGraph {
     ///   (total-force reuse).
     pub fn dynamics_gradient(topo: &Topology) -> TaskGraph {
         let n = topo.len();
-        let mut tasks: Vec<Task> = Vec::new();
-        let id_of = |tasks: &Vec<Task>, kind: TaskKind| -> Option<TaskId> {
-            tasks.iter().position(|t| t.kind == kind).map(TaskId)
-        };
+        // Stages 1–2 are the inverse-dynamics passes, so the RNEA task of
+        // link `l` has id `l` (forward) or `n + (n - 1 - l)` (backward).
+        let mut tasks = rnea_tasks(topo, true);
+        // Gradient task ids per `(link, seed)` slot, so every dependency
+        // is one table lookup. A link's `GradFwd` slot for `seed` is
+        // filled exactly when the link lies in the seed's subtree.
+        let slot = |link: usize, seed: usize| link * n + seed;
+        let mut grad_fwd: Vec<Option<TaskId>> = vec![None; n * n];
+        let mut grad_bwd: Vec<Option<TaskId>> = vec![None; n * n];
 
-        // Stage 1: RNEA forward.
-        for link in 0..n {
-            let mut deps = Vec::new();
-            if let Some(p) = topo.parent(link) {
-                deps.push(id_of(&tasks, TaskKind::RneaFwd { link: p }).expect("parent first"));
-            }
-            tasks.push(Task {
-                kind: TaskKind::RneaFwd { link },
-                deps,
-            });
-        }
-        // Stage 2: RNEA backward (children first).
-        for link in (0..n).rev() {
-            let mut deps = vec![id_of(&tasks, TaskKind::RneaFwd { link }).expect("fwd exists")];
-            for &c in topo.children(link) {
-                deps.push(id_of(&tasks, TaskKind::RneaBwd { link: c }).expect("child first"));
-            }
-            tasks.push(Task {
-                kind: TaskKind::RneaBwd { link },
-                deps,
-            });
-        }
-        // Stage 3: gradient forward, per seed, down the seed's subtree.
+        // Stage 3: gradient forward, per seed, down the seed's subtree
+        // (parents precede children, so the parent's slot is final).
         for seed in 0..n {
             for link in seed..n {
-                if !(link == seed || topo.is_ancestor(seed, link)) {
+                let parent_task = topo.parent(link).and_then(|p| grad_fwd[slot(p, seed)]);
+                if link != seed && parent_task.is_none() {
                     continue;
                 }
-                let mut deps = vec![id_of(&tasks, TaskKind::RneaFwd { link }).expect("fwd exists")];
-                if let Some(p) = topo.parent(link) {
-                    if p == seed || topo.is_ancestor(seed, p) {
-                        deps.push(
-                            id_of(&tasks, TaskKind::GradFwd { link: p, seed })
-                                .expect("parent first"),
-                        );
-                    }
-                }
+                grad_fwd[slot(link, seed)] = Some(TaskId(tasks.len()));
                 tasks.push(Task {
                     kind: TaskKind::GradFwd { link, seed },
-                    deps,
+                    deps: std::iter::once(TaskId(link)).chain(parent_task).collect(),
                 });
             }
         }
-        // Stage 4: gradient backward, per seed, children first, up to root.
+        // Stage 4: gradient backward, per seed, children first, up to
+        // root, over every link on a common path with the seed: its
+        // subtree (a filled `GradFwd` slot) and its ancestors.
+        let mut is_ancestor = vec![false; n];
         for seed in 0..n {
+            let mut cur = topo.parent(seed);
+            while let Some(a) = cur {
+                is_ancestor[a] = true;
+                cur = topo.parent(a);
+            }
             for link in (0..n).rev() {
-                if !topo.supports(link, seed) {
+                let fwd = grad_fwd[slot(link, seed)];
+                if fwd.is_none() && !is_ancestor[link] {
                     continue;
                 }
-                let mut deps = vec![id_of(&tasks, TaskKind::RneaBwd { link }).expect("bwd exists")];
-                if let Some(g) = id_of(&tasks, TaskKind::GradFwd { link, seed }) {
-                    deps.push(g);
-                }
-                for &c in topo.children(link) {
-                    if let Some(cb) = id_of(&tasks, TaskKind::GradBwd { link: c, seed }) {
-                        deps.push(cb);
-                    }
-                }
+                let mut deps = vec![TaskId(n + (n - 1 - link))];
+                deps.extend(fwd);
+                deps.extend(
+                    topo.children(link)
+                        .iter()
+                        .filter_map(|&c| grad_bwd[slot(c, seed)]),
+                );
+                grad_bwd[slot(link, seed)] = Some(TaskId(tasks.len()));
                 tasks.push(Task {
                     kind: TaskKind::GradBwd { link, seed },
                     deps,
                 });
+                is_ancestor[link] = false;
             }
         }
         TaskGraph::with_limbs(tasks, topo)
@@ -218,29 +204,7 @@ impl TaskGraph {
     /// implement accelerators for a broad class of robotics
     /// computations").
     pub fn inverse_dynamics(topo: &Topology) -> TaskGraph {
-        let n = topo.len();
-        let mut tasks: Vec<Task> = Vec::with_capacity(2 * n);
-        for link in 0..n {
-            let deps = topo
-                .parent(link)
-                .map(|p| vec![TaskId(p)])
-                .unwrap_or_default();
-            tasks.push(Task {
-                kind: TaskKind::RneaFwd { link },
-                deps,
-            });
-        }
-        for link in (0..n).rev() {
-            let mut deps = vec![TaskId(link)];
-            for &c in topo.children(link) {
-                deps.push(TaskId(n + (n - 1 - c)));
-            }
-            tasks.push(Task {
-                kind: TaskKind::RneaBwd { link },
-                deps,
-            });
-        }
-        TaskGraph::with_limbs(tasks, topo)
+        TaskGraph::with_limbs(rnea_tasks(topo, true), topo)
     }
 
     /// Builds the task graph of forward kinematics (paper Table 1): a
@@ -248,17 +212,7 @@ impl TaskGraph {
     /// kind doubles as the generic "forward link op" here — the PE
     /// datapath is the same spatial-transform hardware.
     pub fn forward_kinematics(topo: &Topology) -> TaskGraph {
-        let n = topo.len();
-        let tasks = (0..n)
-            .map(|link| Task {
-                kind: TaskKind::RneaFwd { link },
-                deps: topo
-                    .parent(link)
-                    .map(|p| vec![TaskId(p)])
-                    .unwrap_or_default(),
-            })
-            .collect();
-        TaskGraph::with_limbs(tasks, topo)
+        TaskGraph::with_limbs(rnea_tasks(topo, false), topo)
     }
 
     /// Merges two task graphs over the *same topology* into one combined
@@ -376,6 +330,31 @@ impl TaskGraph {
         }
         depth.into_iter().max().unwrap_or(0)
     }
+}
+
+/// The RNEA passes of `topo`: one `RneaFwd` task per link (depending on
+/// its parent's), then — when `backward` — one `RneaBwd` task per link in
+/// reverse link order (depending on its `RneaFwd` and its children's
+/// `RneaBwd`). Link `l`'s tasks get ids `l` and `n + (n - 1 - l)`.
+fn rnea_tasks(topo: &Topology, backward: bool) -> Vec<Task> {
+    let n = topo.len();
+    let mut tasks: Vec<Task> = Vec::with_capacity(if backward { 2 * n } else { n });
+    tasks.extend((0..n).map(|link| Task {
+        kind: TaskKind::RneaFwd { link },
+        deps: topo.parent(link).map(TaskId).into_iter().collect(),
+    }));
+    if backward {
+        tasks.extend((0..n).rev().map(|link| {
+            Task {
+                kind: TaskKind::RneaBwd { link },
+                deps: std::iter::once(link)
+                    .chain(topo.children(link).iter().map(|&c| n + (n - 1 - c)))
+                    .map(TaskId)
+                    .collect(),
+            }
+        }));
+    }
+    tasks
 }
 
 #[cfg(test)]

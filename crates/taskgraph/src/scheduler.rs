@@ -9,7 +9,6 @@
 
 use crate::graph::{Stage, TaskGraph, TaskId, TaskKind};
 use core::fmt;
-use std::collections::HashMap;
 
 /// Whether a PE belongs to the forward- or backward-traversal pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -437,6 +436,10 @@ pub fn schedule_makespan(graph: &TaskGraph, config: &SchedulerConfig) -> u64 {
 /// The list-scheduling core shared by [`schedule`] and
 /// [`schedule_makespan`]: places every task, streams each placement into
 /// `emit` and returns the makespan.
+///
+/// Each step picks, among the eligible ready tasks, the one with the
+/// least `(earliest start, −priority, task id)`. That key is a total
+/// order, so the ready set can be a plain vector in any order.
 fn schedule_core(
     graph: &TaskGraph,
     config: &SchedulerConfig,
@@ -446,53 +449,13 @@ fn schedule_core(
         config.pe_fwd > 0 && config.pe_bwd > 0,
         "PE counts must be positive"
     );
+    let tasks = graph.tasks();
+    let n = tasks.len();
 
-    // Critical-path priority: longest cost-weighted path to a sink.
-    let n = graph.len();
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, t) in graph.tasks().iter().enumerate() {
-        for d in &t.deps {
-            successors[d.0].push(i);
-        }
-    }
-    let mut priority = vec![0u64; n];
-    for i in (0..n).rev() {
-        let own = config.costs.of(graph.task(TaskId(i)).kind);
-        let best_succ = successors[i]
-            .iter()
-            .map(|&s| priority[s])
-            .max()
-            .unwrap_or(0);
-        priority[i] = own + best_succ;
-    }
-
-    // Stage barrier offsets (non-pipelined mode): a task may only start
-    // once every task of every earlier stage has finished. Implemented by
-    // tracking a per-stage release time updated as stages complete.
-    let stage_index = |k: TaskKind| Stage::ALL.iter().position(|&s| s == k.stage()).unwrap();
-
-    let mut unmet: Vec<usize> = graph.tasks().iter().map(|t| t.deps.len()).collect();
-    let mut ready_at: HashMap<usize, u64> = HashMap::new();
-    for (i, t) in graph.tasks().iter().enumerate() {
-        if t.deps.is_empty() {
-            ready_at.insert(i, 0);
-        }
-    }
-    let mut end_time = vec![0u64; n];
-    // Per-class PE state: (free_at, last task).
-    let mut pe_free: [Vec<u64>; 2] = [vec![0; config.pe_fwd], vec![0; config.pe_bwd]];
-    let mut pe_last: [Vec<Option<usize>>; 2] =
-        [vec![None; config.pe_fwd], vec![None; config.pe_bwd]];
-    let mut scheduled = 0usize;
-    let mut makespan = 0u64;
-    // Completion count per stage for barrier mode.
-    let stage_totals: Vec<usize> = Stage::ALL
-        .iter()
-        .map(|&s| graph.stage_tasks(s).len())
-        .collect();
-    let mut stage_done = [0usize; 4];
-    let mut stage_release = [0u64; 4];
-
+    // Per-task facts, computed once. Stage indices follow `Stage::ALL`,
+    // so a task's PE class (0 forward, 1 backward) is `stage % 2` and its
+    // class partner stage is `stage ± 2`.
+    //
     // Limb-sequential mode: each PE class walks the limbs one at a time
     // (depth-first for the forward class, reverse for the backward class),
     // and in pipelined mode interleaves the class's two stages per limb
@@ -505,20 +468,78 @@ fn schedule_core(
     // pipelined mode, lockstep constraints between the two stages of each
     // class.
     let num_limbs = graph.num_limbs();
-    let limb_pos = |kind: TaskKind| -> usize {
-        let m = graph.limb_of_link(kind.link());
-        if kind.stage().is_forward() {
-            m
-        } else {
-            num_limbs - 1 - m
-        }
-    };
+    let stage: Vec<usize> = tasks
+        .iter()
+        .map(|t| {
+            Stage::ALL
+                .iter()
+                .position(|&s| s == t.kind.stage())
+                .unwrap()
+        })
+        .collect();
+    let limb_pos: Vec<usize> = tasks
+        .iter()
+        .map(|t| {
+            let m = graph.limb_of_link(t.kind.link());
+            if t.kind.stage().is_forward() {
+                m
+            } else {
+                num_limbs - 1 - m
+            }
+        })
+        .collect();
+    let cost: Vec<u64> = tasks.iter().map(|t| config.costs.of(t.kind)).collect();
     let is_grad = |si: usize| si >= 2;
     let partner = |si: usize| if is_grad(si) { si - 2 } else { si + 2 };
-    let mut remaining = vec![vec![0usize; num_limbs]; 4];
-    for t in graph.tasks() {
-        remaining[stage_index(t.kind)][limb_pos(t.kind)] += 1;
+
+    // Successor lists, flattened: task `i`'s successors are
+    // `succ[succ_at[i]..succ_at[i + 1]]`.
+    let mut succ_at = vec![0usize; n + 1];
+    for t in tasks {
+        for d in &t.deps {
+            succ_at[d.0 + 1] += 1;
+        }
     }
+    for i in 0..n {
+        succ_at[i + 1] += succ_at[i];
+    }
+    let mut succ = vec![0usize; succ_at[n]];
+    let mut fill = succ_at.clone();
+    for (i, t) in tasks.iter().enumerate() {
+        for d in &t.deps {
+            succ[fill[d.0]] = i;
+            fill[d.0] += 1;
+        }
+    }
+    let successors = |i: usize| &succ[succ_at[i]..succ_at[i + 1]];
+
+    // Critical-path priority: longest cost-weighted path to a sink.
+    let mut priority = vec![0u64; n];
+    for i in (0..n).rev() {
+        let best_succ = successors(i).iter().map(|&s| priority[s]).max();
+        priority[i] = cost[i] + best_succ.unwrap_or(0);
+    }
+
+    // Ready tasks and, per task, the latest end among its finished deps.
+    let mut unmet: Vec<usize> = tasks.iter().map(|t| t.deps.len()).collect();
+    let mut ready: Vec<usize> = (0..n).filter(|&i| unmet[i] == 0).collect();
+    let mut ready_at = vec![0u64; n];
+    // Per-class PE state: (free_at, last task).
+    let mut pe_free: [Vec<u64>; 2] = [vec![0; config.pe_fwd], vec![0; config.pe_bwd]];
+    let mut pe_last: [Vec<Option<usize>>; 2] =
+        [vec![None; config.pe_fwd], vec![None; config.pe_bwd]];
+    let mut makespan = 0u64;
+    // Stage barriers (non-pipelined mode): a task may only start once
+    // every task of every earlier stage has finished, tracked as a
+    // per-stage release time updated as stages complete.
+    let mut stage_totals = [0usize; 4];
+    let mut remaining = vec![vec![0usize; num_limbs]; 4];
+    for i in 0..n {
+        stage_totals[stage[i]] += 1;
+        remaining[stage[i]][limb_pos[i]] += 1;
+    }
+    let mut stage_done = [0usize; 4];
+    let mut stage_release = [0u64; 4];
     let mut pos_max_end = vec![vec![0u64; num_limbs]; 4];
     // frontier[s]: lowest limb position of stage s with unscheduled tasks
     // (= num_limbs when the stage is done); limb_release[s]: max end time
@@ -531,15 +552,43 @@ fn schedule_core(
         }
     }
 
-    while scheduled < n {
+    for _ in 0..n {
+        // Per stage: whether its tasks may be considered at all, and the
+        // earliest start any of them could get (free PE, stage barrier,
+        // limb barrier).
+        let min_free = pe_free
+            .each_ref()
+            .map(|pool| *pool.iter().min().expect("PE pool nonempty"));
+        let mut open = [true; 4];
+        let mut floor = [0u64; 4];
+        for si in 0..4 {
+            let mut f = min_free[si % 2];
+            if !config.pipelined {
+                // Barrier mode: a task may not even be considered until
+                // every earlier stage has fully retired (its release time
+                // is unknown before that).
+                open[si] = (0..si).all(|s| stage_done[s] == stage_totals[s]);
+                f = f.max(stage_release[si]);
+            }
+            if config.limb_sequential {
+                f = f.max(limb_release[si]);
+                if config.pipelined {
+                    f = f.max(limb_release[partner(si)]);
+                }
+            }
+            floor[si] = f;
+        }
+
         // Candidate: the ready task whose earliest feasible start is
         // minimal; among those, the highest critical-path priority.
-        let mut best: Option<(u64, u64, usize)> = None; // (start, -priority sentinel via tuple ordering, task)
-        for (&task, &r_at) in &ready_at {
-            let kind = graph.task(TaskId(task)).kind;
-            let si = stage_index(kind);
-            let pos = limb_pos(kind);
+        let mut best: Option<(u64, u64, usize, usize)> = None; // (start, -priority, task, ready index)
+        for (idx, &task) in ready.iter().enumerate() {
+            let si = stage[task];
+            if !open[si] {
+                continue;
+            }
             if config.limb_sequential {
+                let pos = limb_pos[task];
                 if pos > frontier[si] {
                     continue;
                 }
@@ -548,65 +597,37 @@ fn schedule_core(
                 // done; the RNEA pass of limb p needs the ∇ pass of limbs
                 // < p done.
                 if config.pipelined {
-                    let q = partner(si);
                     let needed = if is_grad(si) { pos + 1 } else { pos };
-                    if frontier[q] < needed {
+                    if frontier[partner(si)] < needed {
                         continue;
                     }
                 }
             }
-            if !config.pipelined {
-                // Barrier mode: a task may not even be considered until
-                // every earlier stage has fully retired (its release time
-                // is unknown before that).
-                let earlier_done = (0..si).all(|s| stage_done[s] == stage_totals[s]);
-                if !earlier_done {
-                    continue;
-                }
-            }
-            let class = usize::from(!kind.stage().is_forward());
-            let min_free = *pe_free[class].iter().min().expect("PE pool nonempty");
-            let barrier = if config.pipelined {
-                0
-            } else {
-                stage_release[si]
-            };
-            let limb_barrier = if config.limb_sequential {
-                if config.pipelined {
-                    limb_release[si].max(limb_release[partner(si)])
-                } else {
-                    limb_release[si]
-                }
-            } else {
-                0
-            };
-            let start = r_at.max(min_free).max(barrier).max(limb_barrier);
-            let better = match best {
-                None => true,
-                Some((bs, bp, bt)) => {
-                    (start, u64::MAX - priority[task], task) < (bs, u64::MAX - bp, bt)
-                }
-            };
-            if better {
-                best = Some((start, priority[task], task));
+            let key = (
+                ready_at[task].max(floor[si]),
+                u64::MAX - priority[task],
+                task,
+            );
+            if best.is_none_or(|(bs, bp, bt, _)| key < (bs, bp, bt)) {
+                best = Some((key.0, key.1, key.2, idx));
             }
         }
-        let (start, _, task) = best.expect("ready set nonempty while tasks remain");
-        let kind = graph.task(TaskId(task)).kind;
-        let class = usize::from(!kind.stage().is_forward());
+        let (start, _, task, idx) = best.expect("ready set nonempty while tasks remain");
+        ready.swap_remove(idx);
+        let kind = tasks[task].kind;
+        let si = stage[task];
+        let class = si % 2;
 
         // Choose the PE: prefer the one whose last task chains into this
         // one (keeps the thread's state local); otherwise the earliest-free.
-        let pool = &pe_free[class];
         let mut chosen = 0;
         let mut chosen_key = (u64::MAX, usize::MAX);
-        for (pe, &free) in pool.iter().enumerate() {
+        for (pe, &free) in pe_free[class].iter().enumerate() {
             if free > start {
                 continue;
             }
-            let chains = pe_last[class][pe]
-                .map(|prev| is_chain_successor(graph.task(TaskId(prev)).kind, kind))
-                .unwrap_or(false);
+            let chains =
+                pe_last[class][pe].is_some_and(|prev| is_chain_successor(tasks[prev].kind, kind));
             // Affinity first (0 beats 1), then latest-free (tightest fit).
             let key = (u64::from(!chains), (u64::MAX - free) as usize);
             if key < chosen_key {
@@ -614,11 +635,9 @@ fn schedule_core(
                 chosen = pe;
             }
         }
-        let cost = config.costs.of(kind);
-        let end = start + cost;
+        let end = start + cost[task];
         pe_free[class][chosen] = end;
         pe_last[class][chosen] = Some(task);
-        end_time[task] = end;
         emit(ScheduleEntry {
             task: TaskId(task),
             pe_class: if class == 0 {
@@ -630,13 +649,10 @@ fn schedule_core(
             start,
             end,
         });
-        scheduled += 1;
         makespan = makespan.max(end);
-        ready_at.remove(&task);
 
         // Limb-frontier bookkeeping.
-        let si = stage_index(kind);
-        let lp = limb_pos(kind);
+        let lp = limb_pos[task];
         remaining[si][lp] -= 1;
         pos_max_end[si][lp] = pos_max_end[si][lp].max(end);
         while frontier[si] < num_limbs && remaining[si][frontier[si]] == 0 {
@@ -653,17 +669,11 @@ fn schedule_core(
         }
 
         // Release successors.
-        for &s in &successors[task] {
+        for &s in successors(task) {
+            ready_at[s] = ready_at[s].max(end);
             unmet[s] -= 1;
             if unmet[s] == 0 {
-                let r = graph
-                    .task(TaskId(s))
-                    .deps
-                    .iter()
-                    .map(|d| end_time[d.0])
-                    .max()
-                    .unwrap_or(0);
-                ready_at.insert(s, r);
+                ready.push(s);
             }
         }
     }
