@@ -5,9 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use roboshape::kernels::kernel_table;
 use roboshape::{
     batched_computation, constrained_selection, coprocessor_roundtrip, emit_verilog,
-    evaluate_strategies, pareto_frontier, single_computation, sweep_design_space,
+    evaluate_strategies_with, pareto_frontier, single_computation, sweep_design_space_with,
     AcceleratorDesign, AcceleratorKnobs, BlockMatmulPlan, FullDesignModel, IoModel,
-    MatmulLatencyModel, ParallelismProfile, Platform, SparsityPattern,
+    MatmulLatencyModel, ParallelismProfile, Pipeline, Platform, SparsityPattern,
 };
 use roboshape_bench::fixture;
 use roboshape_robots::{zoo, Zoo};
@@ -104,7 +104,7 @@ fn bench_fig12_sweep(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("iiwa", |b| {
         b.iter(|| {
-            let pts = sweep_design_space(black_box(&topo));
+            let pts = sweep_design_space_with(Pipeline::global(), black_box(&topo));
             pareto_frontier(&pts).len()
         })
     });
@@ -115,7 +115,9 @@ fn bench_fig13_strategies(c: &mut Criterion) {
     let topo = zoo(Zoo::Hyq).topology().clone();
     let mut g = c.benchmark_group("fig13_strategies");
     g.sample_size(10);
-    g.bench_function("hyq", |b| b.iter(|| evaluate_strategies(black_box(&topo))));
+    g.bench_function("hyq", |b| {
+        b.iter(|| evaluate_strategies_with(Pipeline::global(), black_box(&topo)))
+    });
     g.finish();
 }
 
@@ -134,7 +136,7 @@ fn bench_fig15_blocksweep(c: &mut Criterion) {
 }
 
 fn bench_fig16_constrained(c: &mut Criterion) {
-    let pts = sweep_design_space(zoo(Zoo::Baxter).topology());
+    let pts = sweep_design_space_with(Pipeline::global(), zoo(Zoo::Baxter).topology());
     c.bench_function("fig16_constrained", |b| {
         b.iter(|| {
             Platform::all()

@@ -18,8 +18,8 @@
 //! Validation Playbook's flow). This module owns the manifest format
 //! and the byte-exact diffing; the CLI owns the generators.
 
-use crate::json::{self, Json};
 use crate::record::{MachineInfo, RecordError};
+use roboshape_obs::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::Path;
 

@@ -11,7 +11,7 @@
 //! band. Keys are wall-clock-free (rates and quantiles, never dates),
 //! so a record diffs cleanly against one taken months later.
 
-use crate::json::{self, Json};
+use roboshape_obs::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::Path;
 

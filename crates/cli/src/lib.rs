@@ -1511,7 +1511,9 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
             );
         }
         Command::Kernels => {
-            use roboshape::{simulate_inverse_dynamics, simulate_kinematics, KernelKind};
+            use roboshape::{
+                try_simulate, try_simulate_inverse_dynamics, try_simulate_kinematics, KernelKind,
+            };
             let knobs = fw.choose_knobs(Constraints::unconstrained());
             let n = robot.num_links();
             let q: Vec<f64> = (0..n).map(|i| 0.2 * (i as f64 + 1.0).sin()).collect();
@@ -1531,18 +1533,19 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
                     kernel,
                 );
                 // Functionally verify each design before reporting it.
+                let qd = vec![0.1; n];
                 match kernel {
                     KernelKind::ForwardKinematics => {
-                        let _ = simulate_kinematics(&robot, &d, &q);
+                        try_simulate_kinematics(&robot, &d, &q).map(drop)
                     }
                     KernelKind::InverseDynamics => {
-                        let _ =
-                            simulate_inverse_dynamics(&robot, &d, &q, &vec![0.1; n], &vec![0.0; n]);
+                        try_simulate_inverse_dynamics(&robot, &d, &q, &qd, &vec![0.0; n]).map(drop)
                     }
                     KernelKind::DynamicsGradient => {
-                        let _ = simulate(&robot, &d, &q, &vec![0.1; n], &vec![0.2; n]);
+                        try_simulate(&robot, &d, &q, &qd, &vec![0.2; n]).map(drop)
                     }
                 }
+                .map_err(|e| CliError::new(format!("{kernel:?} simulation failed: {e}")))?;
                 let _ = writeln!(
                     out,
                     "{:<20} {:>8} {:>10} {:>12.2}",
@@ -1582,7 +1585,7 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
             );
         }
         Command::Soc { extra } => {
-            use roboshape::{co_design, sweep_design_space, Platform, UTILIZATION_THRESHOLD};
+            use roboshape::{co_design, sweep_design_space_with, Platform, UTILIZATION_THRESHOLD};
             let mut robots = vec![robot.clone()];
             for path in extra {
                 let text = std::fs::read_to_string(path)
@@ -1598,7 +1601,7 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
             }
             let spaces: Vec<_> = robots
                 .iter()
-                .map(|r| sweep_design_space(r.topology()))
+                .map(|r| sweep_design_space_with(fw.pipeline(), r.topology()))
                 .collect();
             for platform in Platform::all() {
                 match co_design(&spaces, platform, UTILIZATION_THRESHOLD) {

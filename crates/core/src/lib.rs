@@ -63,13 +63,12 @@ pub use roboshape_blocksparse::{
 };
 pub use roboshape_codegen::{check_bundle, emit_verilog, lint, VerilogBundle};
 pub use roboshape_dse::{
-    co_design, constrained_selection, design_space_stats, evaluate_strategies,
-    evaluate_strategies_with, pareto_frontier, sweep_design_space,
-    sweep_design_space_exhaustive_with, sweep_design_space_grid, sweep_design_space_grid_with,
-    sweep_design_space_pruned, sweep_design_space_pruned_with, sweep_design_space_with,
-    verify_frontier, AllocationStrategy, ConstrainedSelection, DesignPoint, DesignSpaceStats,
-    FrontierVerification, PrunedSweep, Quartiles, SocAllocation, StrategyOutcome, SweepGrid,
-    FRAG_HITS_METRIC as DSE_FRAG_HITS_METRIC, FRAG_MISSES_METRIC as DSE_FRAG_MISSES_METRIC,
+    co_design, constrained_selection, design_space_stats, evaluate_strategies_with,
+    pareto_frontier, sweep_design_space_exhaustive_with, sweep_design_space_pruned_with,
+    sweep_design_space_with, verify_frontier, AllocationStrategy, ConstrainedSelection,
+    DesignPoint, DesignSpaceStats, FrontierVerification, PrunedSweep, Quartiles, SocAllocation,
+    StrategyOutcome, FRAG_HITS_METRIC as DSE_FRAG_HITS_METRIC,
+    FRAG_MISSES_METRIC as DSE_FRAG_MISSES_METRIC,
 };
 pub use roboshape_dynamics::{Dynamics, FdDerivatives, ForwardKinematics, RneaDerivatives};
 pub use roboshape_pipeline::{
@@ -78,11 +77,10 @@ pub use roboshape_pipeline::{
     POINTS_METRIC as PIPELINE_POINTS_METRIC,
 };
 pub use roboshape_sim::{
-    shared_program, shared_program_for, simulate, simulate_batch, simulate_inverse_dynamics,
-    simulate_kinematics, try_simulate, try_simulate_batch, try_simulate_batch_interpreted,
-    try_simulate_interpreted, try_simulate_inverse_dynamics, try_simulate_kinematics,
-    AcceleratorGradients, BackendKind, CompiledProgram, ExecBackend, GradientProvider,
-    ReferenceGradients, SimError, SimScratch, SimStats, Simulation,
+    shared_program, shared_program_for, simulate, try_simulate, try_simulate_batch,
+    try_simulate_batch_interpreted, try_simulate_interpreted, try_simulate_inverse_dynamics,
+    try_simulate_kinematics, AcceleratorGradients, BackendKind, CompiledProgram, ExecBackend,
+    GradientProvider, ReferenceGradients, SimError, SimScratch, SimStats, Simulation,
 };
 pub use roboshape_spatial::{inertia_pattern, joint_transform_pattern, Pattern6};
 pub use roboshape_taskgraph::{schedule, Schedule, SchedulerConfig, Stage, TaskCosts, TaskGraph};

@@ -94,14 +94,15 @@ pub fn constrained_selection(points: &[DesignPoint], platform: Platform) -> Cons
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep_design_space;
+    use crate::sweep_design_space_with;
+    use roboshape_pipeline::Pipeline;
     use roboshape_robots::{zoo, Zoo};
 
     #[test]
     fn hyq_arm_is_infeasible_on_vc707() {
         // Paper Fig. 16: "no design point within the VC707 constraints
         // exists for HyQ+arm".
-        let pts = sweep_design_space(zoo(Zoo::HyqArm).topology());
+        let pts = sweep_design_space_with(Pipeline::global(), zoo(Zoo::HyqArm).topology());
         let sel = constrained_selection(&pts, Platform::vc707());
         assert!(sel.is_infeasible());
         assert!(sel.max_allocated.is_none());
@@ -111,7 +112,7 @@ mod tests {
     #[test]
     fn other_robots_are_feasible_on_both_platforms() {
         for which in [Zoo::Iiwa, Zoo::Hyq, Zoo::Baxter, Zoo::Jaco2, Zoo::Jaco3] {
-            let pts = sweep_design_space(zoo(which).topology());
+            let pts = sweep_design_space_with(Pipeline::global(), zoo(which).topology());
             for platform in Platform::all() {
                 let sel = constrained_selection(&pts, platform);
                 assert!(!sel.is_infeasible(), "{which:?} on {}", platform.name);
@@ -134,7 +135,7 @@ mod tests {
             Zoo::Jaco3,
             Zoo::HyqArm,
         ] {
-            let pts = sweep_design_space(zoo(which).topology());
+            let pts = sweep_design_space_with(Pipeline::global(), zoo(which).topology());
             for platform in Platform::all() {
                 let sel = constrained_selection(&pts, platform);
                 let (Some(max), Some(min)) = (sel.max_allocated, sel.min_latency) else {
@@ -157,7 +158,7 @@ mod tests {
 
     #[test]
     fn vcu118_admits_larger_designs_than_vc707() {
-        let pts = sweep_design_space(zoo(Zoo::Baxter).topology());
+        let pts = sweep_design_space_with(Pipeline::global(), zoo(Zoo::Baxter).topology());
         let big = constrained_selection(&pts, Platform::vcu118());
         let small = constrained_selection(&pts, Platform::vc707());
         let bmax = big.max_allocated.unwrap();

@@ -6,23 +6,22 @@
 //! design points)" (paper Fig. 12): the full cross product of forward PEs
 //! × backward PEs × block size is `N³`. This crate provides:
 //!
-//! * [`sweep_design_space`] — evaluates every knob setting (latency via
-//!   the real scheduler + blocked-mat-mul plan, resources via the DSE
-//!   model) over a worker pool bounded by the machine's parallelism.
+//! * [`sweep_design_space_with`] — evaluates every knob setting (latency
+//!   via the real scheduler + blocked-mat-mul latency, resources via the
+//!   DSE model) over a worker pool bounded by the machine's parallelism.
 //!   Every point is a *join* of two content-addressed sub-artifact
 //!   fragments — a per-`(PEf, PEb)` makespan and a per-block latency —
-//!   cached in the shared compilation-pipeline store
-//!   (`roboshape-pipeline`), so warm re-sweeps and grid deltas
-//!   ([`SweepGrid`], [`sweep_design_space_grid`]) recompile only what
-//!   changed (the `dse.frag.{hits,misses}` counters prove it); `_with`
-//!   variants accept an explicit
-//!   [`Pipeline`](roboshape_pipeline::Pipeline);
-//! * [`sweep_design_space_pruned`] — the same frontier without the full
-//!   grid: a streaming Pareto skyline plus makespan monotonicity prune
-//!   provably dominated rows *before* scheduling them, bit-identical to
-//!   the exhaustive frontier by construction;
+//!   cached in the [`Pipeline`](roboshape_pipeline::Pipeline)'s store
+//!   (`roboshape-pipeline`), so a warm re-sweep recompiles nothing (the
+//!   `dse.frag.{hits,misses}` counters prove it);
+//! * [`sweep_design_space_pruned_with`] — the same frontier without the
+//!   full grid: a streaming Pareto skyline plus makespan monotonicity
+//!   prune provably dominated rows *before* scheduling them,
+//!   bit-identical to the exhaustive frontier by construction;
+//! * [`sweep_design_space_exhaustive_with`] — the sequential oracle both
+//!   are pinned against, through the coarse pipeline stages only;
 //! * [`pareto_frontier`] — the latency/LUT Pareto front of Fig. 12;
-//! * [`AllocationStrategy`] / [`evaluate_strategies`] — the six
+//! * [`AllocationStrategy`] / [`evaluate_strategies_with`] — the six
 //!   resource-allocation strategies of Fig. 13 (Total Links, Average and
 //!   Maximum Leaf Depth, Maximum Descendants, the Hybrid heuristic, and
 //!   exhaustive Optimal Minimum Latency);
@@ -36,11 +35,12 @@
 //! # Examples
 //!
 //! ```
-//! use roboshape_dse::{pareto_frontier, sweep_design_space};
+//! use roboshape_dse::{pareto_frontier, sweep_design_space_with};
+//! use roboshape_pipeline::Pipeline;
 //! use roboshape_topology::Topology;
 //!
 //! let topo = Topology::chain(5);
-//! let points = sweep_design_space(&topo);
+//! let points = sweep_design_space_with(&Pipeline::new(), &topo);
 //! assert_eq!(points.len(), 5 * 5 * 5);
 //! let frontier = pareto_frontier(&points);
 //! assert!(!frontier.is_empty());
@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 mod constrained;
+mod pool;
 mod soc;
 mod stats;
 mod strategies;
@@ -58,13 +59,10 @@ mod verify;
 pub use constrained::{constrained_selection, ConstrainedSelection};
 pub use soc::{co_design, SocAllocation};
 pub use stats::{design_space_stats, DesignSpaceStats, Quartiles};
-pub use strategies::{
-    evaluate_strategies, evaluate_strategies_with, AllocationStrategy, StrategyOutcome,
-};
+pub use strategies::{evaluate_strategies_with, AllocationStrategy, StrategyOutcome};
 pub use sweep::{
-    pareto_frontier, sweep_design_space, sweep_design_space_exhaustive_with,
-    sweep_design_space_grid, sweep_design_space_grid_with, sweep_design_space_pruned,
-    sweep_design_space_pruned_with, sweep_design_space_with, DesignPoint, PrunedSweep, SweepGrid,
-    FRAG_HITS_METRIC, FRAG_MISSES_METRIC, PRUNED_POINTS_METRIC, PRUNED_ROWS_METRIC,
+    pareto_frontier, sweep_design_space_exhaustive_with, sweep_design_space_pruned_with,
+    sweep_design_space_with, DesignPoint, PrunedSweep, FRAG_HITS_METRIC, FRAG_MISSES_METRIC,
+    PRUNED_POINTS_METRIC, PRUNED_ROWS_METRIC,
 };
 pub use verify::{verify_frontier, FrontierVerification};

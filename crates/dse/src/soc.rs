@@ -116,14 +116,15 @@ pub fn co_design(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep_design_space;
+    use crate::sweep_design_space_with;
     use roboshape_arch::UTILIZATION_THRESHOLD;
+    use roboshape_pipeline::Pipeline;
     use roboshape_robots::{zoo, Zoo};
 
     fn spaces(robots: &[Zoo]) -> Vec<Vec<DesignPoint>> {
         robots
             .iter()
-            .map(|&z| sweep_design_space(zoo(z).topology()))
+            .map(|&z| sweep_design_space_with(Pipeline::global(), zoo(z).topology()))
             .collect()
     }
 

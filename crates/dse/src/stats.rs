@@ -97,7 +97,8 @@ pub fn design_space_stats(points: &[DesignPoint]) -> DesignSpaceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep_design_space;
+    use crate::sweep_design_space_with;
+    use roboshape_pipeline::Pipeline;
     use roboshape_robots::{zoo, Zoo};
 
     #[test]
@@ -115,7 +116,7 @@ mod tests {
 
     #[test]
     fn stats_are_ordered_and_knee_is_on_frontier() {
-        let pts = sweep_design_space(zoo(Zoo::Hyq).topology());
+        let pts = sweep_design_space_with(Pipeline::global(), zoo(Zoo::Hyq).topology());
         let s = design_space_stats(&pts);
         assert_eq!(s.points, 1728);
         assert!(s.latency.min <= s.latency.q1);

@@ -4,7 +4,7 @@ use roboshape_arch::{AcceleratorKnobs, DseModel, Resources};
 use roboshape_pipeline::Pipeline;
 use roboshape_topology::Topology;
 
-use crate::sweep::traversal_makespan;
+use crate::sweep::Makespans;
 
 /// The PE-allocation strategies the paper compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,28 +67,21 @@ pub struct StrategyOutcome {
     pub achieves_min_latency: bool,
 }
 
-/// Evaluates all six strategies on a robot (paper Fig. 13), through the
-/// process-wide [`Pipeline::global`] artifact store.
+/// Evaluates all six strategies on a robot (paper Fig. 13).
 ///
 /// Latency is the traversal-schedule makespan (Sec. 5.4 studies the
 /// traversal patterns; the blocked mat-mul is swept separately in
 /// Fig. 15), and resources use the PE-level model at block size 1 so the
-/// comparison isolates the PE allocation.
-pub fn evaluate_strategies(topo: &Topology) -> Vec<StrategyOutcome> {
-    evaluate_strategies_with(Pipeline::global(), topo)
-}
-
-/// [`evaluate_strategies`] against an explicit pipeline. Makespans go
-/// through the same content-addressed fragment store as the design-space
-/// sweeps, so after a sweep of the same robot the exhaustive reference
-/// here reads every `(PEf, PEb)` latency from cache (and vice versa: a
-/// strategy evaluation pre-warms the sweep).
+/// comparison isolates the PE allocation. Makespans go through the same
+/// content-addressed fragment store as the design-space sweeps, so after
+/// a sweep of the same robot the exhaustive reference here reads every
+/// `(PEf, PEb)` latency from cache (and vice versa: a strategy evaluation
+/// pre-warms the sweep).
 pub fn evaluate_strategies_with(pipeline: &Pipeline, topo: &Topology) -> Vec<StrategyOutcome> {
     let n = topo.len();
     let metrics = topo.metrics();
-    let latency = |pe_fwd: usize, pe_bwd: usize| -> u64 {
-        traversal_makespan(pipeline, topo, pe_fwd, pe_bwd)
-    };
+    let makespans = Makespans::new(pipeline, topo);
+    let latency = |pe_fwd: usize, pe_bwd: usize| makespans.get(pe_fwd, pe_bwd);
 
     // Exhaustive reference: minimum latency, then fewest resources.
     let mut min_latency = u64::MAX;
@@ -142,7 +135,7 @@ mod tests {
     use std::collections::HashMap;
 
     fn outcomes(which: Zoo) -> HashMap<AllocationStrategy, StrategyOutcome> {
-        evaluate_strategies(zoo(which).topology())
+        evaluate_strategies_with(Pipeline::global(), zoo(which).topology())
             .into_iter()
             .map(|o| (o.strategy, o))
             .collect()

@@ -10,10 +10,8 @@
 //!
 //! * a warm re-sweep joins `N²+N` cached scalars into `N³` points without
 //!   touching the scheduler (the ≥10× incremental-over-cold path in
-//!   `BENCH_dse.json`);
-//! * a re-sweep after a knob-grid change ([`SweepGrid`]) recompiles only
-//!   the delta — the `dse.frag.{hits,misses}` counters prove it;
-//! * the pruned sweep ([`sweep_design_space_pruned`]) skips provably
+//!   `BENCH_dse.json`) — the `dse.frag.{hits,misses}` counters prove it;
+//! * the pruned sweep ([`sweep_design_space_pruned_with`]) skips provably
 //!   dominated grid rows *before* scheduling them, using the makespan's
 //!   monotonicity in each PE count plus a streaming Pareto skyline.
 //!
@@ -22,7 +20,7 @@
 //! `dse.designs_per_sec` and `dse.worker_utilization_pct` gauges (how
 //! evenly the schedule work spread over the worker pool).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use roboshape_arch::{AcceleratorKnobs, DseModel, KernelKind, MatmulUnits, Resources};
@@ -31,6 +29,8 @@ use roboshape_obs as obs;
 use roboshape_pipeline::{FragmentHasher, FragmentId, PatternKind, Pipeline, PipelineStage};
 use roboshape_taskgraph::{schedule_makespan, SchedulerConfig, TaskGraph};
 use roboshape_topology::Topology;
+
+use crate::pool::par_map;
 
 const KERNEL: KernelKind = KernelKind::DynamicsGradient;
 
@@ -151,48 +151,43 @@ fn count_fragment(hit: bool) {
     obs::metrics().counter(name).add(1);
 }
 
-/// The `(pe_fwd, pe_bwd)` traversal makespan through the fragment store.
-/// A miss schedules through the Schedules stage (populating the coarse
-/// store with the full [`Schedule`](roboshape_taskgraph::Schedule) artifact as before) and memoizes the
-/// scalar.
-pub(crate) fn traversal_makespan(
-    pipeline: &Pipeline,
-    topo: &Topology,
-    pe_fwd: usize,
-    pe_bwd: usize,
-) -> u64 {
-    let cfg = SchedulerConfig::with_pes(pe_fwd, pe_bwd);
-    let id = makespan_fragment_id(topo, &cfg);
-    let (v, hit) =
-        pipeline.fragment_u64(id, || pipeline.schedule_for(topo, KERNEL, &cfg).makespan());
-    note_fragment(pipeline, PipelineStage::Schedules, hit);
-    v
+/// One robot's `(pe_fwd, pe_bwd)` traversal makespans through the
+/// fragment store, over the ∇FD task graph fetched once per sweep.
+pub(crate) struct Makespans<'a> {
+    pipeline: &'a Pipeline,
+    topo: &'a Topology,
+    graph: Arc<TaskGraph>,
 }
 
-/// [`traversal_makespan`] through the makespan-only scheduler entry
-/// point: a miss runs [`roboshape_taskgraph::schedule_makespan`] — no
-/// entry list, no full [`Schedule`](roboshape_taskgraph::Schedule) artifact — and memoizes the scalar
-/// under the *same* fragment id, so pruned and exhaustive sweeps share
-/// warmth in both directions.
-fn traversal_makespan_fast(
-    pipeline: &Pipeline,
-    graph: &TaskGraph,
-    topo: &Topology,
-    pe_fwd: usize,
-    pe_bwd: usize,
-) -> u64 {
-    let cfg = SchedulerConfig::with_pes(pe_fwd, pe_bwd);
-    let id = makespan_fragment_id(topo, &cfg);
-    let (v, hit) = pipeline.fragment_u64(id, || {
-        pipeline
-            .observer()
-            .time(PipelineStage::Schedules, || schedule_makespan(graph, &cfg))
-    });
-    if !hit {
-        pipeline.observer().miss(PipelineStage::Schedules);
+impl<'a> Makespans<'a> {
+    pub(crate) fn new(pipeline: &'a Pipeline, topo: &'a Topology) -> Makespans<'a> {
+        Makespans {
+            pipeline,
+            topo,
+            graph: pipeline.task_graph(topo, KERNEL),
+        }
     }
-    note_fragment(pipeline, PipelineStage::Schedules, hit);
-    v
+
+    /// The `(pe_fwd, pe_bwd)` makespan. A miss runs
+    /// [`roboshape_taskgraph::schedule_makespan`] — no entry list, no full
+    /// [`Schedule`](roboshape_taskgraph::Schedule) artifact — and memoizes
+    /// the scalar, so every sweep and the strategy evaluation share
+    /// warmth in both directions.
+    pub(crate) fn get(&self, pe_fwd: usize, pe_bwd: usize) -> u64 {
+        let pipeline = self.pipeline;
+        let cfg = SchedulerConfig::with_pes(pe_fwd, pe_bwd);
+        let id = makespan_fragment_id(self.topo, &cfg);
+        let (v, hit) = pipeline.fragment_u64(id, || {
+            pipeline.observer().time(PipelineStage::Schedules, || {
+                schedule_makespan(&self.graph, &cfg)
+            })
+        });
+        if !hit {
+            pipeline.observer().miss(PipelineStage::Schedules);
+        }
+        note_fragment(pipeline, PipelineStage::Schedules, hit);
+        v
+    }
 }
 
 /// The block-size-`block` latency of the blocked `M⁻¹` multiply:
@@ -222,141 +217,43 @@ fn point(
     }
 }
 
-/// An explicit knob grid for [`sweep_design_space_grid`]: the sweep
-/// evaluates the cross product `pe_fwd × pe_bwd × block` in the given
-/// order. Because every sub-artifact is content-addressed, growing or
-/// refining a grid re-uses every fragment the previous grid computed —
-/// only the delta is compiled (watch `dse.frag.{hits,misses}`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepGrid {
-    /// Forward-PE counts to visit (each ≥ 1).
-    pub pe_fwd: Vec<usize>,
-    /// Backward-PE counts to visit (each ≥ 1).
-    pub pe_bwd: Vec<usize>,
-    /// Mat-mul block sizes to visit (each ≥ 1).
-    pub block: Vec<usize>,
-}
-
-impl SweepGrid {
-    /// The full `N³` grid of an `N`-link robot: every knob in `1..=N`.
-    pub fn full(n: usize) -> SweepGrid {
-        SweepGrid {
-            pe_fwd: (1..=n).collect(),
-            pe_bwd: (1..=n).collect(),
-            block: (1..=n).collect(),
-        }
-    }
-
-    /// Number of grid points (the cross-product size).
-    pub fn len(&self) -> usize {
-        self.pe_fwd.len() * self.pe_bwd.len() * self.block.len()
-    }
-
-    /// `true` when any axis is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Evaluates the full `N³` design space of a robot: every combination of
-/// `PEs_fwd`, `PEs_bwd` ∈ `1..=N` and block size ∈ `1..=N`, through the
-/// process-wide [`Pipeline::global`] artifact store.
-pub fn sweep_design_space(topo: &Topology) -> Vec<DesignPoint> {
-    sweep_design_space_with(Pipeline::global(), topo)
-}
-
-/// [`sweep_design_space`] against an explicit pipeline.
+/// `PEs_fwd`, `PEs_bwd` ∈ `1..=N` and block size ∈ `1..=N`.
 ///
 /// Incremental: each point is a join of a per-`(PEf, PEb)` makespan
 /// fragment and a per-block latency fragment, so a warm re-sweep reads
 /// `N²+N` cached scalars instead of recomputing anything. Cold makespan
-/// misses schedule through the Schedules stage (the schedules land in the
-/// coarse store); block latencies come from the closed form
+/// misses run the makespan-only scheduler, so no schedule lands in the
+/// coarse store; block latencies come from the closed form
 /// ([`Pipeline::matmul_latency`]), so no block plan is built. The
-/// schedule work is spread over a worker pool bounded by the machine's
+/// `PEs_fwd` rows are spread over a worker pool bounded by the machine's
 /// available parallelism. Points are returned sorted by
 /// `(pe_fwd, pe_bwd, block)` regardless of worker interleaving.
 pub fn sweep_design_space_with(pipeline: &Pipeline, topo: &Topology) -> Vec<DesignPoint> {
-    sweep_design_space_grid_with(pipeline, topo, &SweepGrid::full(topo.len()))
-}
-
-/// [`sweep_design_space_grid`] through [`Pipeline::global`].
-pub fn sweep_design_space_grid(topo: &Topology, grid: &SweepGrid) -> Vec<DesignPoint> {
-    sweep_design_space_grid_with(Pipeline::global(), topo, grid)
-}
-
-/// The incremental sweep over an explicit [`SweepGrid`], against an
-/// explicit pipeline. Points come back in grid order: `pe_fwd` outermost,
-/// then `pe_bwd`, then `block`.
-pub fn sweep_design_space_grid_with(
-    pipeline: &Pipeline,
-    topo: &Topology,
-    grid: &SweepGrid,
-) -> Vec<DesignPoint> {
     let _span = obs::span(OBS_CATEGORY, "sweep");
     let n = topo.len();
-    let mm_latency: Vec<u64> = grid
-        .block
-        .iter()
-        .map(|&b| self::mm_latency(pipeline, topo, b))
-        .collect();
-
-    let rows_total = grid.pe_fwd.len();
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(rows_total)
-        .max(1);
-    let next = AtomicUsize::new(0);
-    // Cycles spent computing rows, summed across workers: busy ÷
-    // (workers × wall) is the pool's utilization gauge.
-    let busy_ns = AtomicU64::new(0);
+    let makespans = Makespans::new(pipeline, topo);
+    let mm: Vec<u64> = (1..=n).map(|b| mm_latency(pipeline, topo, b)).collect();
     let sweep_start = Instant::now();
-    let mut rows: Vec<(usize, Vec<DesignPoint>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, mm_latency, busy_ns) = (&next, &mm_latency, &busy_ns);
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= rows_total {
-                            break;
-                        }
-                        let row_start = Instant::now();
-                        let pe_fwd = grid.pe_fwd[idx];
-                        let mut row = Vec::with_capacity(grid.pe_bwd.len() * grid.block.len());
-                        for &pe_bwd in &grid.pe_bwd {
-                            let makespan = traversal_makespan(pipeline, topo, pe_fwd, pe_bwd);
-                            for (bi, &block) in grid.block.iter().enumerate() {
-                                row.push(point(n, pe_fwd, pe_bwd, block, makespan, mm_latency[bi]));
-                            }
-                        }
-                        busy_ns.fetch_add(
-                            u64::try_from(row_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                            Ordering::Relaxed,
-                        );
-                        out.push((idx, row));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    rows.sort_unstable_by_key(|&(idx, _)| idx);
-    let points = grid.len() as u64;
-    pipeline.observer().add_points(points);
-    record_sweep_metrics(
-        points,
-        sweep_start.elapsed(),
-        busy_ns.load(Ordering::Relaxed),
-        workers,
+    let rows = par_map(
+        n,
+        || (),
+        |_, row| {
+            let pe_fwd = row + 1;
+            let mut points = Vec::with_capacity(n * n);
+            for pe_bwd in 1..=n {
+                let makespan = makespans.get(pe_fwd, pe_bwd);
+                for block in 1..=n {
+                    points.push(point(n, pe_fwd, pe_bwd, block, makespan, mm[block - 1]));
+                }
+            }
+            points
+        },
     );
-    rows.into_iter().flat_map(|(_, row)| row).collect()
+    let points = (n * n * n) as u64;
+    pipeline.observer().add_points(points);
+    record_sweep_metrics(points, sweep_start.elapsed(), rows.busy_ns, rows.workers);
+    rows.results.into_iter().flatten().collect()
 }
 
 /// The non-incremental reference sweep: evaluates the full `N³` space
@@ -475,7 +372,7 @@ impl Skyline {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrunedSweep {
     /// The Pareto frontier — bit-identical to
-    /// `pareto_frontier(&sweep_design_space(topo))`.
+    /// `pareto_frontier(&sweep_design_space_with(pipeline, topo))`.
     pub frontier: Vec<DesignPoint>,
     /// Total grid points the sweep covered (evaluated + pruned).
     pub grid_points: usize,
@@ -487,11 +384,6 @@ pub struct PrunedSweep {
     pub scheduled_rows: usize,
     /// Rows skipped entirely — no schedule, no fragment, nothing.
     pub skipped_rows: usize,
-}
-
-/// [`sweep_design_space_pruned_with`] through [`Pipeline::global`].
-pub fn sweep_design_space_pruned(topo: &Topology) -> PrunedSweep {
-    sweep_design_space_pruned_with(Pipeline::global(), topo)
 }
 
 /// Sweeps the full `N³` space with dominance pruning: grid rows that are
@@ -523,7 +415,7 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
     let _span = obs::span(OBS_CATEGORY, "sweep-pruned");
     let sweep_start = Instant::now();
     let n = topo.len();
-    let graph = pipeline.task_graph(topo, KERNEL);
+    let makespans = Makespans::new(pipeline, topo);
     let mm: Vec<u64> = (1..=n).map(|b| mm_latency(pipeline, topo, b)).collect();
 
     // Far-edge rows, scheduled upfront (in parallel) to certify lower
@@ -533,47 +425,16 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
         .map(|pf| (pf, n))
         .chain((1..n).map(|pb| (n, pb)))
         .collect();
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(edges.len())
-        .max(1);
-    let next = AtomicUsize::new(0);
-    let busy_ns = AtomicU64::new(0);
-    let mut edge_t: Vec<(usize, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, edges, busy_ns, graph) = (&next, &edges, &busy_ns, &graph);
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= edges.len() {
-                            break;
-                        }
-                        let start = Instant::now();
-                        let (pf, pb) = edges[idx];
-                        out.push((idx, traversal_makespan_fast(pipeline, graph, topo, pf, pb)));
-                        busy_ns.fetch_add(
-                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                            Ordering::Relaxed,
-                        );
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("pruned-sweep worker panicked"))
-            .collect()
-    });
-    edge_t.sort_unstable_by_key(|&(idx, _)| idx);
+    let edge_run = par_map(
+        edges.len(),
+        || (),
+        |_, i| makespans.get(edges[i].0, edges[i].1),
+    );
     // t_f[pf-1] = T(pf, n); t_b[pb-1] = T(n, pb), with t_b[n-1] = T(n, n).
-    let t_f: Vec<u64> = edge_t[..n].iter().map(|&(_, t)| t).collect();
-    let t_b: Vec<u64> = edge_t[n..]
+    let t_f = &edge_run.results[..n];
+    let t_b: Vec<u64> = edge_run.results[n..]
         .iter()
-        .map(|&(_, t)| t)
+        .copied()
         .chain([t_f[n - 1]])
         .collect();
 
@@ -606,7 +467,7 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
                 skipped_rows += 1;
                 continue;
             }
-            let t = traversal_makespan_fast(pipeline, &graph, topo, pf, pb);
+            let t = makespans.get(pf, pb);
             push_row(&mut points, &mut skyline, pf, pb, t);
             scheduled_rows += 1;
         }
@@ -622,8 +483,8 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
     record_sweep_metrics(
         evaluated_points as u64,
         sweep_start.elapsed(),
-        busy_ns.load(Ordering::Relaxed),
-        workers,
+        edge_run.busy_ns,
+        edge_run.workers,
     );
     PrunedSweep {
         frontier: pareto_frontier(&points),
@@ -639,11 +500,12 @@ pub fn sweep_design_space_pruned_with(pipeline: &Pipeline, topo: &Topology) -> P
 mod tests {
     use super::*;
     use roboshape_robots::{zoo, Zoo};
+    use roboshape_zoo::{population, Family};
 
     #[test]
     fn sweep_covers_full_grid() {
         let topo = Topology::chain(4);
-        let pts = sweep_design_space(&topo);
+        let pts = sweep_design_space_with(Pipeline::global(), &topo);
         assert_eq!(pts.len(), 64);
         // Deterministic order and coverage.
         let mut seen = std::collections::HashSet::new();
@@ -657,17 +519,31 @@ mod tests {
     fn design_spaces_are_tractable_thousands_of_points() {
         // Paper Fig. 12: "tractable (1000s of design points) design spaces".
         let hyq_arm = zoo(Zoo::HyqArm);
-        let pts = sweep_design_space(hyq_arm.topology());
+        let pts = sweep_design_space_with(Pipeline::global(), hyq_arm.topology());
         assert_eq!(pts.len(), 19 * 19 * 19); // 6859
     }
 
     #[test]
     fn incremental_sweep_matches_exhaustive_oracle() {
-        let topo = zoo(Zoo::Jaco2).topology().clone();
-        let pipeline = Pipeline::new();
-        let incremental = sweep_design_space_with(&pipeline, &topo);
-        let oracle = sweep_design_space_exhaustive_with(&Pipeline::new(), &topo);
-        assert_eq!(incremental, oracle);
+        // The whole zoo plus a generated sample small enough for the
+        // sequential oracle (at most HyQ+arm's 19 links).
+        let generated = population(0x0005_11EE, 8, &Family::ALL).expect("population");
+        let topologies = Zoo::ALL
+            .iter()
+            .map(|&which| (which.name().to_string(), zoo(which).topology().clone()))
+            .chain(
+                generated
+                    .iter()
+                    .filter(|r| r.model.num_links() <= 19)
+                    .map(|r| (r.name.clone(), r.model.topology().clone())),
+            )
+            .collect::<Vec<_>>();
+        assert!(topologies.len() > Zoo::ALL.len(), "no generated robot fits");
+        for (name, topo) in &topologies {
+            let incremental = sweep_design_space_with(&Pipeline::new(), topo);
+            let oracle = sweep_design_space_exhaustive_with(&Pipeline::new(), topo);
+            assert_eq!(incremental, oracle, "{name}: incremental sweep diverged");
+        }
     }
 
     /// `(hits, misses)` of `pipeline`'s fragment lookups so far. Counted
@@ -693,46 +569,9 @@ mod tests {
     }
 
     #[test]
-    fn grid_delta_recompiles_only_the_delta() {
-        let topo = Topology::chain(6);
-        let pipeline = Pipeline::new();
-        let small = SweepGrid {
-            pe_fwd: vec![1, 2],
-            pe_bwd: vec![1, 2],
-            block: vec![1, 2],
-        };
-        sweep_design_space_grid_with(&pipeline, &topo, &small);
-        let (hits_before, misses_before) = fragment_counts(&pipeline);
-
-        // Grow every axis by one value: the 4 old (pf, pb) pairs and the
-        // 2 old block sizes must all come from the fragment store; only
-        // the 5 new (pf, pb) pairs and 1 new block size compile.
-        let grown = SweepGrid {
-            pe_fwd: vec![1, 2, 3],
-            pe_bwd: vec![1, 2, 3],
-            block: vec![1, 2, 3],
-        };
-        let pts = sweep_design_space_grid_with(&pipeline, &topo, &grown);
-        assert_eq!(pts.len(), 27);
-        let (hits, misses) = fragment_counts(&pipeline);
-        assert_eq!(
-            misses - misses_before,
-            5 + 1,
-            "re-sweep after a grid change must recompile only the delta"
-        );
-        assert_eq!(hits - hits_before, 4 + 2);
-
-        // The grown grid's points agree with the full sweep's subset.
-        let full = sweep_design_space_with(&pipeline, &topo);
-        for p in &pts {
-            assert!(full.contains(p));
-        }
-    }
-
-    #[test]
     fn frontier_members_are_mutually_nondominated() {
         let topo = zoo(Zoo::Hyq);
-        let pts = sweep_design_space(topo.topology());
+        let pts = sweep_design_space_with(Pipeline::global(), topo.topology());
         let frontier = pareto_frontier(&pts);
         assert!(!frontier.is_empty());
         for a in &frontier {
@@ -745,7 +584,7 @@ mod tests {
     #[test]
     fn every_point_is_dominated_by_or_on_the_frontier() {
         let topo = Topology::chain(5);
-        let pts = sweep_design_space(&topo);
+        let pts = sweep_design_space_with(Pipeline::global(), &topo);
         let frontier = pareto_frontier(&pts);
         for p in &pts {
             let covered = frontier.iter().any(|f| {
@@ -862,7 +701,7 @@ mod tests {
     #[test]
     fn more_pes_never_increase_traversal_latency() {
         let topo = zoo(Zoo::Baxter);
-        let pts = sweep_design_space(topo.topology());
+        let pts = sweep_design_space_with(Pipeline::global(), topo.topology());
         let n = 15;
         // Along the symmetric diagonal at fixed block.
         let lat = |pe: usize| {
@@ -886,7 +725,7 @@ mod tests {
         // decade, hundreds-to-thousands; exact per-robot values in
         // EXPERIMENTS.md).
         for which in [Zoo::Iiwa, Zoo::HyqArm] {
-            let pts = sweep_design_space(zoo(which).topology());
+            let pts = sweep_design_space_with(Pipeline::global(), zoo(which).topology());
             let max = pts.iter().map(|p| p.total_cycles).max().unwrap();
             assert!(
                 (500..12_000).contains(&max),

@@ -12,14 +12,13 @@
 //! between the frontier's programs (all the same robot, hence the same
 //! dimension) reuses the buffers instead of reallocating per point.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use roboshape_arch::KernelKind;
 use roboshape_obs as obs;
 use roboshape_pipeline::Pipeline;
 use roboshape_sim::{SimScratch, Simulation};
 use roboshape_urdf::RobotModel;
 
+use crate::pool::par_map;
 use crate::sweep::{DesignPoint, OBS_CATEGORY};
 
 const KERNEL: KernelKind = KernelKind::DynamicsGradient;
@@ -92,43 +91,20 @@ pub fn verify_frontier(
             .expect("frontier reference point must simulate")
     };
 
-    let workers = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(points.len())
-        .max(1);
-    // Point 0 is the reference itself: divergence 0 by construction.
-    let next = AtomicUsize::new(1);
-    let max_divergence = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, reference, q, qd, tau) = (&next, &reference, &q, &qd, &tau);
-                scope.spawn(move || {
-                    // One persistent arena per worker: every point shares
-                    // the robot's dimension, so rebinding to the next
-                    // point's program reuses the buffers as-is.
-                    let mut scratch = SimScratch::default();
-                    let mut worst = 0.0f64;
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= points.len() {
-                            break;
-                        }
-                        let program = pipeline.compiled_program(topo, points[idx].knobs(), KERNEL);
-                        let sim = program
-                            .execute_gradient(model, &mut scratch, q, qd, tau)
-                            .expect("frontier point must simulate");
-                        worst = worst.max(divergence(&sim, reference));
-                    }
-                    worst
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("verify worker panicked"))
-            .fold(0.0f64, f64::max)
-    });
+    // Point 0 is the reference itself: divergence 0 by construction. One
+    // persistent arena per worker: every point shares the robot's
+    // dimension, so rebinding to the next point's program reuses the
+    // buffers as-is.
+    let max_divergence = par_map(points.len() - 1, SimScratch::default, |scratch, i| {
+        let program = pipeline.compiled_program(topo, points[i + 1].knobs(), KERNEL);
+        let sim = program
+            .execute_gradient(model, scratch, &q, &qd, &tau)
+            .expect("frontier point must simulate");
+        divergence(&sim, &reference)
+    })
+    .results
+    .into_iter()
+    .fold(0.0f64, f64::max);
     obs::metrics()
         .counter("dse.verify.points")
         .add(points.len() as u64);

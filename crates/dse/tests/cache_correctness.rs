@@ -114,23 +114,43 @@ fn repeated_sweeps_are_deterministic() {
 }
 
 #[test]
-fn warm_sweep_serves_schedules_from_the_store() {
+fn warm_sweep_is_served_from_fragments_alone() {
     let robot = zoo(Zoo::Baxter);
     let topo = robot.topology();
     let n = topo.len();
     let pipeline = Pipeline::new();
     sweep_design_space_with(&pipeline, topo);
     let after_cold = pipeline.observer().report();
-    // Cold pass scheduled the full N² grid once.
-    assert_eq!(pipeline.store().stats().schedules, n * n);
+    // The cold pass stored one makespan per (PEf, PEb) and one latency
+    // per block size, and no full schedule: a makespan miss runs the
+    // makespan-only scheduler.
+    let stats = pipeline.store().stats();
+    assert_eq!(stats.fragments, n * n + n);
+    assert_eq!(stats.schedules, 0);
 
     sweep_design_space_with(&pipeline, topo);
     let after_warm = pipeline.observer().report();
-    // The warm pass added no schedule computations, only hits.
-    assert_eq!(pipeline.store().stats().schedules, n * n);
-    assert!(after_warm.hits() >= after_cold.hits() + (n * n) as u64);
-    assert_eq!(
-        after_warm.stages.iter().map(|s| s.misses).sum::<u64>(),
-        after_cold.stages.iter().map(|s| s.misses).sum::<u64>(),
-    );
+    // The warm pass computed nothing: no new fragment, no new miss, and
+    // a hit for every fragment it joined.
+    assert_eq!(pipeline.store().stats().fragments, n * n + n);
+    assert_eq!(pipeline.store().stats().schedules, 0);
+    assert_eq!(after_warm.misses(), after_cold.misses());
+    assert!(after_warm.hits() >= after_cold.hits() + (n * n + n) as u64);
+}
+
+#[test]
+fn strategies_after_a_sweep_add_no_fragment() {
+    for which in Zoo::ALL {
+        let robot = zoo(which);
+        let topo = robot.topology();
+        let pipeline = Pipeline::new();
+        sweep_design_space_with(&pipeline, topo);
+        let fragments = pipeline.store().stats().fragments;
+        evaluate_strategies_with(&pipeline, topo);
+        assert_eq!(
+            pipeline.store().stats().fragments,
+            fragments,
+            "{which:?}: strategy evaluation recomputed a makespan the sweep cached"
+        );
+    }
 }

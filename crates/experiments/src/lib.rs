@@ -11,10 +11,10 @@
 
 use roboshape::kernels::{kernel_table, TraversalScaling};
 use roboshape::{
-    batched_computation, constrained_selection, coprocessor_roundtrip, evaluate_strategies,
-    single_computation, sweep_design_space, AcceleratorDesign, AcceleratorKnobs, BlockMatmulPlan,
-    BlockTiling, Constraints, Framework, IoModel, MatmulLatencyModel, ParallelismProfile, Platform,
-    SparsityPattern, Stage,
+    batched_computation, constrained_selection, coprocessor_roundtrip, evaluate_strategies_with,
+    single_computation, sweep_design_space_with, AcceleratorDesign, AcceleratorKnobs,
+    BlockMatmulPlan, BlockTiling, Constraints, Framework, IoModel, MatmulLatencyModel,
+    ParallelismProfile, Pipeline, Platform, SparsityPattern, Stage,
 };
 use roboshape_robots::{zoo, Zoo};
 use std::fmt::Write as _;
@@ -405,7 +405,7 @@ pub fn fig12() -> String {
         "robot", "points", "min cyc", "max cyc", "min LUTs", "max LUTs", "frontier"
     );
     for which in Zoo::ALL {
-        let pts = sweep_design_space(zoo(which).topology());
+        let pts = sweep_design_space_with(Pipeline::global(), zoo(which).topology());
         let s = roboshape::design_space_stats(&pts);
         let _ = writeln!(
             out,
@@ -448,7 +448,7 @@ pub fn fig13() -> String {
     );
     for which in Zoo::ALL {
         let _ = writeln!(out, "{}:", which.name());
-        for o in evaluate_strategies(zoo(which).topology()) {
+        for o in evaluate_strategies_with(Pipeline::global(), zoo(which).topology()) {
             let _ = writeln!(
                 out,
                 "  {:<20} PEs=({:>2},{:>2})  latency={:>5} cycles  LUTs={:>8.0}  {}",
@@ -534,7 +534,12 @@ pub fn fig16() -> String {
     // frontier, so the platform loop reuses these).
     let spaces: Vec<(Zoo, Vec<roboshape::DesignPoint>)> = Zoo::ALL
         .into_iter()
-        .map(|which| (which, sweep_design_space(zoo(which).topology())))
+        .map(|which| {
+            (
+                which,
+                sweep_design_space_with(Pipeline::global(), zoo(which).topology()),
+            )
+        })
         .collect();
     for platform in Platform::all() {
         let _ = writeln!(out, "{}:", platform.name);
@@ -680,7 +685,7 @@ pub fn ext_soc() -> String {
     let robots = [Zoo::Iiwa, Zoo::Hyq, Zoo::Baxter];
     let spaces: Vec<_> = robots
         .iter()
-        .map(|&z| sweep_design_space(zoo(z).topology()))
+        .map(|&z| sweep_design_space_with(Pipeline::global(), zoo(z).topology()))
         .collect();
     for platform in Platform::all() {
         match co_design(&spaces, platform, roboshape::UTILIZATION_THRESHOLD) {
@@ -960,7 +965,7 @@ pub fn ext_throughput() -> String {
 /// Extension: the accelerator-as-a-service engine (`roboshape-serve`)
 /// over the full zoo, exercised in-process. One paused engine takes a
 /// burst per robot so the deadline-aware scheduler coalesces ∇FD
-/// requests into `simulate_batch` executions (per-step results are
+/// requests into `try_simulate_batch` executions (per-step results are
 /// bit-identical to sequential evaluation — the serve crate's property
 /// test pins this). Running it also populates the `serve.*` counters
 /// that `experiments all` prints in its global metrics summary.

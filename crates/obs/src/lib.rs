@@ -26,8 +26,10 @@
 //!   resolve a name to a handle; call sites cache the `Arc` handle).
 //!   [`MetricsSnapshot`] renders a flat JSON document (`--metrics`) or a
 //!   one-screen text summary (`experiments all`).
-//! * **JSON** — [`json`] holds the dependency-free writer/validator the
-//!   sinks use (the workspace vendors no serde implementation).
+//! * **JSON** — [`json`] holds the workspace's one dependency-free JSON
+//!   codec: the writers the sinks use, and the parser and pretty-printer
+//!   the bench-record gate reads and writes its records with (the
+//!   workspace vendors no serde implementation).
 //! * **Hashes** — [`hash`] holds the workspace's one FNV-1a 64 and one
 //!   SplitMix64, stable across processes and builds.
 //!

@@ -1,5 +1,5 @@
 //! Property test for the ISSUE's core serving invariant: responses from
-//! the engine's *coalesced* `simulate_batch` path are bit-identical —
+//! the engine's *coalesced* `try_simulate_batch` path are bit-identical —
 //! same float bits, same cycle counts — to direct single-request
 //! simulation, for every robot in the paper's zoo.
 

@@ -9,8 +9,8 @@
 //! Run with: `cargo run --release --example codesign_sweep`
 
 use roboshape::{
-    constrained_selection, evaluate_strategies, pareto_frontier, sweep_design_space_pruned,
-    DSE_FRAG_HITS_METRIC, DSE_FRAG_MISSES_METRIC,
+    constrained_selection, evaluate_strategies_with, pareto_frontier,
+    sweep_design_space_pruned_with, DSE_FRAG_HITS_METRIC, DSE_FRAG_MISSES_METRIC,
 };
 use roboshape_suite::prelude::*;
 
@@ -41,7 +41,7 @@ fn main() {
 
     // The dominance-pruned sweep reaches the same frontier while skipping
     // provably dominated grid rows before scheduling them.
-    let pruned = sweep_design_space_pruned(robot.topology());
+    let pruned = sweep_design_space_pruned_with(fw.pipeline(), robot.topology());
     println!(
         "pruned sweep: evaluated {} of {} grid points ({} pruned, {} rows never scheduled)",
         pruned.evaluated_points, pruned.grid_points, pruned.pruned_points, pruned.skipped_rows
@@ -61,7 +61,7 @@ fn main() {
 
     // Fig. 13: allocation strategies.
     println!("\nallocation strategies (traversal latency):");
-    for o in evaluate_strategies(robot.topology()) {
+    for o in evaluate_strategies_with(fw.pipeline(), robot.topology()) {
         println!(
             "  {:<20} PEs=({:>2},{:>2})  {:>5} cycles  {:>9.0} LUTs  {}",
             o.strategy.name(),

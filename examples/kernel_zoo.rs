@@ -9,8 +9,8 @@
 //! Run with: `cargo run --release --example kernel_zoo`
 
 use roboshape::{
-    simulate, simulate_inverse_dynamics, simulate_kinematics, AcceleratorDesign, AcceleratorKnobs,
-    Dynamics, KernelKind,
+    simulate, try_simulate_inverse_dynamics, try_simulate_kinematics, AcceleratorDesign,
+    AcceleratorKnobs, Dynamics, KernelKind,
 };
 use roboshape_suite::prelude::*;
 
@@ -39,7 +39,8 @@ fn main() {
         knobs,
         KernelKind::ForwardKinematics,
     );
-    let (poses, fk_stats) = simulate_kinematics(&robot, &fk_design, &q);
+    let (poses, fk_stats) =
+        try_simulate_kinematics(&robot, &fk_design, &q).expect("forward kinematics simulates");
     let reference_fk = dynamics.forward_kinematics(&q);
     let fk_err = poses
         .iter()
@@ -57,7 +58,8 @@ fn main() {
         knobs,
         KernelKind::InverseDynamics,
     );
-    let (sim_tau, id_stats) = simulate_inverse_dynamics(&robot, &id_design, &q, &qd, &qdd);
+    let (sim_tau, id_stats) = try_simulate_inverse_dynamics(&robot, &id_design, &q, &qd, &qdd)
+        .expect("inverse dynamics simulates");
     let reference_tau = dynamics.rnea(&q, &qd, &qdd);
     let id_err = sim_tau
         .iter()

@@ -3,9 +3,9 @@
 //! statements a reader of the abstract would check first).
 
 use roboshape::{
-    constrained_selection, coprocessor_roundtrip, evaluate_strategies, rc_design,
-    single_computation, sweep_design_space, AcceleratorDesign, AcceleratorKnobs,
-    AllocationStrategy, Platform,
+    constrained_selection, coprocessor_roundtrip, evaluate_strategies_with, rc_design,
+    single_computation, sweep_design_space_with, AcceleratorDesign, AcceleratorKnobs,
+    AllocationStrategy, Pipeline, Platform,
 };
 use roboshape_suite::prelude::*;
 
@@ -82,7 +82,7 @@ fn coprocessor_io_wall() {
 #[test]
 fn hybrid_heuristic_claim() {
     for which in Zoo::ALL {
-        let outcomes = evaluate_strategies(zoo(which).topology());
+        let outcomes = evaluate_strategies_with(Pipeline::global(), zoo(which).topology());
         let hybrid = outcomes
             .iter()
             .find(|o| o.strategy == AllocationStrategy::Hybrid)
@@ -100,7 +100,7 @@ fn hybrid_heuristic_claim() {
 /// topology-based tuning, and HyQ+arm has no VC707 design point.
 #[test]
 fn constrained_platform_claims() {
-    let pts = sweep_design_space(zoo(Zoo::HyqArm).topology());
+    let pts = sweep_design_space_with(Pipeline::global(), zoo(Zoo::HyqArm).topology());
     assert!(constrained_selection(&pts, Platform::vc707()).is_infeasible());
     let vcu_sel = constrained_selection(&pts, Platform::vcu118());
     assert!(!vcu_sel.is_infeasible());
@@ -118,7 +118,7 @@ fn constrained_platform_claims() {
 fn tractable_design_spaces() {
     for which in Zoo::ALL {
         let n = zoo(which).num_links();
-        let pts = sweep_design_space(zoo(which).topology());
+        let pts = sweep_design_space_with(Pipeline::global(), zoo(which).topology());
         assert_eq!(pts.len(), n * n * n);
         assert!(pts.len() <= 7_000, "{which:?}: space should stay tractable");
     }
