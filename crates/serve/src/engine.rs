@@ -1,7 +1,8 @@
-//! The in-process serving engine: per-robot design pools, supervised
-//! worker threads, deadline-aware batching, backpressure, a per-robot
-//! circuit breaker with analytical-model degradation, and graceful
-//! drain. Chaos (deterministic fault injection) hooks in here too.
+//! The in-process serving engine: per-robot designs and accelerator
+//! instances run by one bounded executor pool, deadline-aware batching,
+//! backpressure, a per-robot circuit breaker with analytical-model
+//! degradation, and graceful drain. Chaos (deterministic fault
+//! injection) hooks in here too.
 
 use crate::fault::{Admission, CircuitBreaker, CircuitState, FailureOutcome, FaultPlan, FaultSite};
 use crate::queue::{EdfQueue, Pending};
@@ -19,7 +20,7 @@ use roboshape_pipeline::Pipeline;
 use roboshape_sim::{BackendKind, CompiledProgram, SimError, SimScratch, Simulation};
 use roboshape_topology::Topology;
 use roboshape_urdf::RobotModel;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -33,11 +34,16 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Maximum ∇FD requests coalesced into one batched execution.
     pub max_batch: usize,
-    /// Simulated accelerator instances (worker threads) per robot.
+    /// Simulated accelerator instances per robot: at most this many of
+    /// one robot's batches execute at once (with more than one robot
+    /// registered, also at most one fewer than the pool has threads, so
+    /// no robot holds them all). Instances are not threads; the engine's
+    /// one executor pool runs every robot's instances and has at least
+    /// this many threads.
     pub workers_per_robot: usize,
-    /// Start with workers paused (requests queue but do not execute
-    /// until [`Engine::resume`]) — a test/bench hook that makes batch
-    /// coalescing deterministic.
+    /// Start with the executor pool paused (requests queue but do not
+    /// execute until [`Engine::resume`]) — a test/bench hook that makes
+    /// batch coalescing deterministic.
     pub start_paused: bool,
     /// Deadline applied at admission to requests that carry none — the
     /// per-request timeout budget. `None` leaves them best-effort.
@@ -89,9 +95,9 @@ pub enum ServeError {
     /// The request failed validation or simulation (dimension mismatch,
     /// non-finite input, non-positive-definite mass matrix, …).
     BadRequest(String),
-    /// The worker executing this request crashed before producing a
-    /// result. The request was not completed and is safe to retry; the
-    /// supervisor restarts the worker behind the scenes.
+    /// The accelerator instance executing this request crashed before
+    /// producing a result. The request was not completed and is safe to
+    /// retry; the engine replaces the instance behind the scenes.
     WorkerCrashed,
 }
 
@@ -295,8 +301,9 @@ pub struct RobotHealth {
     pub name: String,
     /// Its circuit breaker's current state.
     pub circuit: CircuitState,
-    /// Worker threads currently alive for this robot. Briefly below the
-    /// configured pool size while the supervisor restarts a crash.
+    /// Accelerator instances serving this robot: the configured
+    /// [`EngineConfig::workers_per_robot`] while the engine runs (a
+    /// crashed instance is replaced at once), 0 once it is shut down.
     pub workers_alive: u32,
 }
 
@@ -304,7 +311,7 @@ pub struct RobotHealth {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthReport {
     /// `true` when the engine is accepting work and every registered
-    /// robot has at least one live worker.
+    /// robot has at least one accelerator instance.
     pub ready: bool,
     /// Per-robot health, sorted by name.
     pub robots: Vec<RobotHealth>,
@@ -552,7 +559,8 @@ pub struct EngineStats {
     pub crashed: u64,
     /// Requests answered from the analytical model (circuit open).
     pub degraded: u64,
-    /// Crashed workers restarted by the supervisor.
+    /// Crashed accelerator instances replaced (each crash drops the
+    /// instance's scratch arena; the next batch binds a fresh one).
     pub worker_restarts: u64,
     /// Circuit-breaker transitions to open (trips and probe re-opens).
     pub circuit_trips: u64,
@@ -592,20 +600,32 @@ struct StatCells {
 }
 
 /// One registered robot: its model, the three kernel designs and their
-/// compiled simulation programs, its bounded EDF queue, and its circuit
-/// breaker.
+/// compiled simulation programs, its queue and accelerator instances,
+/// and its circuit breaker.
 struct RobotSlot {
     model: RobotModel,
     designs: HashMap<KernelKind, Arc<AcceleratorDesign>>,
     /// Compiled once at registration (through the pipeline's Programs
     /// stage, so every engine in the process shares one compile per
-    /// design); workers execute these against their persistent scratch.
+    /// design); instances execute these against their own scratch.
     programs: HashMap<KernelKind, Arc<CompiledProgram>>,
-    queue: EdfQueue,
+    lane: Mutex<Lane>,
     breaker: CircuitBreaker,
 }
 
-/// A worker's persistent scratch arenas, one per kernel so a mixed
+/// A robot's dispatch state: its bounded EDF queue and its accelerator
+/// instances, under one lock so every listing decision sees both.
+struct Lane {
+    queue: EdfQueue,
+    /// The scratch of each instance not running a batch; the others run.
+    /// Filled with unbound arenas at registration (an arena binds on its
+    /// first batch), so it allocates nothing until work arrives.
+    idle: Vec<WorkerScratch>,
+    /// The robot's entries on the engine's ready list.
+    listed: usize,
+}
+
+/// An accelerator instance's persistent scratch arenas, one per kernel so a mixed
 /// request stream never thrashes the program↔scratch binding (a rebind
 /// reallocates; a bound arena executes allocation-free).
 #[derive(Default)]
@@ -625,34 +645,13 @@ impl WorkerScratch {
     }
 }
 
-/// How a worker thread ended.
-enum WorkerExit {
-    /// Queue drained after close — the orderly way out.
-    Drained,
-    /// The worker crashed (injected or a real panic) and its in-flight
-    /// tickets were resolved to `WorkerCrashed`; needs a restart.
-    Crashed,
-}
-
 /// What `execute` did with a popped batch.
 enum ExecOutcome {
     /// Every live ticket in the batch was resolved.
     Completed,
     /// An injected crash fired: the batch's unresolved tickets are the
-    /// caller's to clean up, and the worker must die.
+    /// caller's to clean up, and the instance must be replaced.
     InjectedCrash,
-}
-
-struct WorkerCell {
-    robot: String,
-    slot: Arc<RobotSlot>,
-    handle: JoinHandle<WorkerExit>,
-}
-
-#[derive(Default)]
-struct Supervision {
-    workers: Vec<WorkerCell>,
-    supervisor: Option<JoinHandle<()>>,
 }
 
 struct EngineInner {
@@ -660,7 +659,19 @@ struct EngineInner {
     plan: Option<FaultPlan>,
     pipeline: Pipeline,
     robots: RwLock<HashMap<String, Arc<RobotSlot>>>,
-    supervision: Mutex<Supervision>,
+    /// Robots with queued work and a free instance, in listing order; a
+    /// robot at most once per free instance and per queued request.
+    /// Pause and close flip under this lock.
+    ready: Mutex<VecDeque<Arc<RobotSlot>>>,
+    /// Wakes pool threads: a robot was listed, or pause/close changed.
+    work: Condvar,
+    /// The executor pool's threads, spawned with the engine; shutdown
+    /// joins them.
+    pool: Mutex<Vec<JoinHandle<()>>>,
+    /// The pool's size.
+    threads: usize,
+    /// Set once a second robot registers.
+    shared: AtomicBool,
     paused: AtomicBool,
     closed: AtomicBool,
     depth: AtomicU64,
@@ -673,10 +684,12 @@ struct EngineInner {
 ///
 /// See the crate docs for the execution model; in short: registered
 /// robots get kernel designs built through a warmed
-/// [`roboshape_pipeline::Pipeline`] plus a supervised pool of worker
-/// threads, and [`Engine::submit`] enqueues work under EDF with explicit
-/// shedding, a per-robot circuit breaker, and optional deterministic
-/// fault injection.
+/// [`roboshape_pipeline::Pipeline`] plus
+/// [`EngineConfig::workers_per_robot`] simulated accelerator instances,
+/// one executor pool (spawned with the engine, whatever the number of
+/// robots) runs every robot's instances, and [`Engine::submit`] enqueues
+/// work under EDF with explicit shedding, a per-robot circuit breaker,
+/// and optional deterministic fault injection.
 #[derive(Clone)]
 pub struct Engine {
     inner: Arc<EngineInner>,
@@ -693,21 +706,35 @@ impl Engine {
     /// tests, or a pre-warmed one in benchmarks).
     pub fn with_pipeline(cfg: EngineConfig, pipeline: Pipeline) -> Engine {
         preregister_metrics();
-        Engine {
-            inner: Arc::new(EngineInner {
-                paused: AtomicBool::new(cfg.start_paused),
-                plan: cfg.chaos.map(FaultPlan::new),
-                cfg,
-                pipeline,
-                robots: RwLock::new(HashMap::new()),
-                supervision: Mutex::new(Supervision::default()),
-                closed: AtomicBool::new(false),
-                depth: AtomicU64::new(0),
-                seq: AtomicU64::new(0),
-                open_circuits: AtomicU64::new(0),
-                stats: StatCells::default(),
-            }),
-        }
+        // Enough threads to keep every CPU busy, and never fewer than one
+        // robot's instances so a lone robot can use all of them.
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .max(cfg.workers_per_robot.max(1));
+        let inner = Arc::new(EngineInner {
+            paused: AtomicBool::new(cfg.start_paused),
+            plan: cfg.chaos.map(FaultPlan::new),
+            cfg,
+            pipeline,
+            robots: RwLock::new(HashMap::new()),
+            ready: Mutex::new(VecDeque::new()),
+            work: Condvar::new(),
+            pool: Mutex::new(Vec::new()),
+            threads,
+            shared: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+            depth: AtomicU64::new(0),
+            seq: AtomicU64::new(0),
+            open_circuits: AtomicU64::new(0),
+            stats: StatCells::default(),
+        });
+        *inner.pool.lock().expect("pool poisoned") = (0..threads)
+            .map(|_| {
+                let inner = Arc::clone(&inner);
+                std::thread::spawn(move || pool_loop(&inner))
+            })
+            .collect();
+        Engine { inner }
     }
 
     /// The engine's fault plan, when chaos is configured. The server
@@ -718,8 +745,9 @@ impl Engine {
 
     /// Registers `model` under `name`: builds its ∇FD, inverse-dynamics
     /// and forward-kinematics designs through the pipeline (topology-
-    /// derived default knobs) and spawns its supervised worker pool.
-    /// Re-registering an existing name is a no-op.
+    /// derived default knobs). It spawns nothing: the engine's executor
+    /// pool runs the robot's instances. Re-registering an existing name
+    /// is a no-op.
     ///
     /// # Panics
     ///
@@ -778,26 +806,20 @@ impl Engine {
             model,
             designs,
             programs,
-            queue: EdfQueue::new(inner.cfg.queue_capacity),
+            lane: Mutex::new(Lane {
+                queue: EdfQueue::new(inner.cfg.queue_capacity),
+                idle: (0..inner.instances())
+                    .map(|_| WorkerScratch::default())
+                    .collect(),
+                listed: 0,
+            }),
             breaker: CircuitBreaker::new(inner.cfg.circuit_threshold, inner.cfg.circuit_cooldown),
         });
+        // A lost register race is a no-op: the first registration wins.
         let mut robots = inner.robots.write().expect("robots poisoned");
-        if robots.contains_key(&name) {
-            return; // lost a register race; the first registration wins
-        }
-        robots.insert(name.clone(), Arc::clone(&slot));
-        drop(robots);
-        let mut sup = inner.supervision.lock().expect("supervision poisoned");
-        for _ in 0..inner.cfg.workers_per_robot.max(1) {
-            sup.workers.push(spawn_worker(
-                name.clone(),
-                Arc::clone(&self.inner),
-                Arc::clone(&slot),
-            ));
-        }
-        if sup.supervisor.is_none() {
-            let s_inner = Arc::clone(&self.inner);
-            sup.supervisor = Some(std::thread::spawn(move || supervisor_loop(s_inner)));
+        robots.entry(name).or_insert(slot);
+        if robots.len() > 1 {
+            inner.shared.store(true, Ordering::Relaxed);
         }
     }
 
@@ -847,31 +869,26 @@ impl Engine {
             .map(|slot| slot.breaker.state())
     }
 
-    /// A readiness snapshot: per-robot circuit state and live worker
-    /// count, plus an overall `ready` verdict. This is what the TCP
-    /// front-end serves for health probes.
+    /// A readiness snapshot: per-robot circuit state and accelerator
+    /// instance count, plus an overall `ready` verdict. This is what the
+    /// TCP front-end serves for health probes.
     pub fn health(&self) -> HealthReport {
-        // Lock order: robots before supervision (register does the same,
-        // though never holding both).
-        let robots = self.inner.robots.read().expect("robots poisoned");
-        let sup = self.inner.supervision.lock().expect("supervision poisoned");
-        let mut report: Vec<RobotHealth> = robots
+        let closed = self.inner.closed.load(Ordering::SeqCst);
+        let instances = if closed { 0 } else { self.inner.instances() };
+        let mut report: Vec<RobotHealth> = self
+            .inner
+            .robots
+            .read()
+            .expect("robots poisoned")
             .iter()
             .map(|(name, slot)| RobotHealth {
                 name: name.clone(),
                 circuit: slot.breaker.state(),
-                workers_alive: sup
-                    .workers
-                    .iter()
-                    .filter(|w| w.robot == *name && !w.handle.is_finished())
-                    .count() as u32,
+                workers_alive: instances as u32,
             })
             .collect();
-        drop(sup);
-        drop(robots);
         report.sort_by(|a, b| a.name.cmp(&b.name));
-        let ready =
-            !self.inner.closed.load(Ordering::SeqCst) && report.iter().all(|r| r.workers_alive > 0);
+        let ready = !closed && report.iter().all(|r| r.workers_alive > 0);
         HealthReport {
             ready,
             robots: report,
@@ -955,10 +972,16 @@ impl Engine {
             probe,
         };
         let ticket = pending.ticket.clone();
-        // Count the request *before* it becomes visible to workers — a
-        // worker may pop and decrement the instant the push lands.
+        // Count the request *before* it becomes visible to the pool — a
+        // pool thread may pop and decrement the instant the push lands.
         let depth = inner.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        match slot.queue.try_push(pending) {
+        let mut lane = slot.lane.lock().expect("robot lane poisoned");
+        let pushed = lane.queue.try_push(pending);
+        if pushed.is_ok() {
+            list_if_runnable(inner, &slot, &mut lane);
+        }
+        drop(lane);
+        match pushed {
             Ok(()) => {
                 inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
                 obs::metrics().counter(REQUESTS_METRIC).add(1);
@@ -970,7 +993,7 @@ impl Engine {
                 inner.stats.shed.fetch_add(1, Ordering::Relaxed);
                 obs::metrics().counter(SHED_METRIC).add(1);
                 if probe {
-                    // The probe never reached a worker; release its slot
+                    // The probe never reached an instance; release its slot
                     // (counts as a failed probe — the pool gave no
                     // evidence of health).
                     record_circuit_failure(inner, &slot, true);
@@ -982,17 +1005,16 @@ impl Engine {
         }
     }
 
-    /// Pauses workers: accepted requests queue but do not execute.
+    /// Pauses the executor pool: accepted requests queue but do not
+    /// execute. Batches already running finish.
     pub fn pause(&self) {
         self.inner.paused.store(true, Ordering::SeqCst);
     }
 
-    /// Resumes paused workers.
+    /// Resumes a paused executor pool.
     pub fn resume(&self) {
-        self.inner.paused.store(false, Ordering::SeqCst);
-        for slot in self.inner.robots.read().expect("robots poisoned").values() {
-            slot.queue.notify_all();
-        }
+        self.inner
+            .wake_all(|| self.inner.paused.store(false, Ordering::SeqCst));
     }
 
     /// Current per-engine counters.
@@ -1016,46 +1038,56 @@ impl Engine {
         }
     }
 
-    /// Graceful drain: stops admitting, wakes paused workers, executes
-    /// everything already queued (every accepted ticket resolves — the
-    /// supervisor keeps restarting crashed workers until the drain
-    /// completes), then joins the worker pool. Idempotent; later calls
-    /// wait for the first one's drain.
+    /// Graceful drain: stops admitting, overrides a pause, executes
+    /// everything already queued (every accepted ticket resolves — a
+    /// crashed instance is replaced even mid-drain), then joins the
+    /// executor pool. Idempotent; later calls wait for the first one's
+    /// drain.
     pub fn shutdown(&self) {
         let inner = &self.inner;
-        inner.closed.store(true, Ordering::SeqCst);
+        inner.wake_all(|| inner.closed.store(true, Ordering::SeqCst));
         let _span = obs::span(OBS_CATEGORY, "shutdown");
-        for slot in inner.robots.read().expect("robots poisoned").values() {
-            slot.queue.notify_all();
-        }
-        let supervisor = inner
-            .supervision
-            .lock()
-            .expect("supervision poisoned")
-            .supervisor
-            .take();
-        match supervisor {
-            Some(handle) => {
-                let _ = handle.join();
-            }
-            None => {
-                // Either nothing was ever registered, or a concurrent
-                // shutdown owns the supervisor; wait for its drain.
-                loop {
-                    let drained = inner
-                        .supervision
-                        .lock()
-                        .expect("supervision poisoned")
-                        .workers
-                        .is_empty();
-                    if drained {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
+        // Joining under the lock makes a concurrent call wait too.
+        let mut pool = inner.pool.lock().expect("pool poisoned");
+        for handle in pool.drain(..) {
+            let _ = handle.join();
         }
         obs::metrics().gauge(QUEUE_DEPTH_METRIC).set(0.0);
+    }
+}
+
+impl EngineInner {
+    /// Accelerator instances per robot.
+    fn instances(&self) -> usize {
+        self.cfg.workers_per_robot.max(1)
+    }
+
+    /// Most batches one robot may run at once: all its instances while
+    /// it is the only robot, else at most one fewer than the pool has
+    /// threads, so a robot with long batches (rollouts, stalls) always
+    /// leaves a thread to the others.
+    fn max_running(&self) -> usize {
+        if self.shared.load(Ordering::Relaxed) {
+            self.instances().min(self.threads - 1).max(1)
+        } else {
+            self.instances()
+        }
+    }
+
+    /// Instances of a robot that may start a batch now.
+    fn free_instances(&self, lane: &Lane) -> usize {
+        let running = self.instances() - lane.idle.len();
+        self.max_running().saturating_sub(running)
+    }
+
+    /// Flips a pause/close flag under the ready-list lock, so no pool
+    /// thread can check the flag and then miss the wake-up, and wakes
+    /// every pool thread.
+    fn wake_all(&self, flip: impl FnOnce()) {
+        let ready = self.ready.lock().expect("ready list poisoned");
+        flip();
+        drop(ready);
+        self.work.notify_all();
     }
 }
 
@@ -1081,16 +1113,6 @@ fn preregister_metrics() {
         m.counter(name).add(0);
     }
     m.gauge(CIRCUIT_OPEN_METRIC).set(0.0);
-}
-
-fn spawn_worker(robot: String, inner: Arc<EngineInner>, slot: Arc<RobotSlot>) -> WorkerCell {
-    let w_inner = Arc::clone(&inner);
-    let w_slot = Arc::clone(&slot);
-    WorkerCell {
-        robot,
-        slot,
-        handle: std::thread::spawn(move || worker_loop(w_inner, w_slot)),
-    }
 }
 
 /// Admission-time validation, so malformed requests fail fast with a
@@ -1215,102 +1237,135 @@ fn record_circuit_success(inner: &EngineInner, slot: &RobotSlot, probe: bool) {
     }
 }
 
-/// One simulated accelerator instance: drains the robot's EDF queue
-/// until shutdown, coalescing compatible ∇FD requests. Returns how it
-/// ended so the supervisor knows whether to restart it.
-fn worker_loop(inner: Arc<EngineInner>, slot: Arc<RobotSlot>) -> WorkerExit {
-    // Persistent per-worker scratch arenas: after the first request of
-    // each kernel, executions reuse the bound buffers (zero allocation in
-    // the warm ∇FD path).
-    let mut scratch = WorkerScratch::default();
-    loop {
-        let Some(batch) = slot
-            .queue
-            .next_batch(inner.cfg.max_batch, &inner.paused, &inner.closed)
-        else {
-            return WorkerExit::Drained;
+/// Lists `slot` on the ready list once per free instance and per queued
+/// request, minus the entries it already has, waking one pool thread
+/// per new entry: a burst arriving while the robot is listed still
+/// splits over its instances. Called with the robot's lane locked (lock
+/// order: lane, then ready list).
+fn list_if_runnable(inner: &EngineInner, slot: &Arc<RobotSlot>, lane: &mut Lane) {
+    let wanted = inner.free_instances(lane).min(lane.queue.len());
+    if lane.listed >= wanted {
+        return;
+    }
+    let mut ready = inner.ready.lock().expect("ready list poisoned");
+    for _ in lane.listed..wanted {
+        ready.push_back(Arc::clone(slot));
+        inner.work.notify_one();
+    }
+    lane.listed = wanted;
+}
+
+/// One executor-pool thread: takes the next listed robot, runs one
+/// batch on one of its instances, and repeats. Exits once the engine is
+/// closed and nothing is listed; a robot with work left is listed again
+/// by whichever thread releases its instance, so the drain completes.
+fn pool_loop(inner: &EngineInner) {
+    while let Some(slot) = next_listed(inner) {
+        let Some((batch, scratch)) = claim_instance(inner, &slot) else {
+            continue;
         };
-        let depth = inner
-            .depth
-            .fetch_sub(batch.len() as u64, Ordering::Relaxed)
-            .saturating_sub(batch.len() as u64);
-        obs::metrics().gauge(QUEUE_DEPTH_METRIC).set(depth as f64);
-        // Keep enough of each request to clean up after a crash: the
-        // ticket, its probe flag, and its enqueue time (for latency).
-        let tickets: Vec<(Ticket, bool, Instant)> = batch
-            .iter()
-            .map(|p| (p.ticket.clone(), p.probe, p.enqueued))
-            .collect();
-        // A crash abandons this worker's scratch with the thread (a panic
-        // mid-evaluation may leave consumed-on-read accumulators dirty);
-        // the supervisor's replacement worker starts a fresh arena.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(&inner, &slot, &mut scratch, batch)
-        }));
-        let crashed = !matches!(outcome, Ok(ExecOutcome::Completed));
-        if crashed {
-            for (ticket, probe, enqueued) in tickets {
-                if !ticket.claim() {
-                    continue;
-                }
-                // Account before publishing, as `submit` does: whoever
-                // wakes on the ticket already sees the crash counted.
-                inner.stats.crashed.fetch_add(1, Ordering::Relaxed);
-                obs::metrics().counter(CRASHED_METRIC).add(1);
-                obs::metrics().counter(RESPONSES_METRIC).add(1);
-                let latency_us = enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                obs::metrics()
-                    .histogram(LATENCY_METRIC, &LATENCY_BOUNDS_US)
-                    .record(latency_us);
-                record_circuit_failure(&inner, &slot, probe);
-                ticket.publish(Err(ServeError::WorkerCrashed));
-            }
-            return WorkerExit::Crashed;
-        }
+        let scratch = run_batch(inner, &slot, scratch, batch);
+        release_instance(inner, &slot, scratch);
     }
 }
 
-/// Joins finished workers, restarting crashed ones — **always**, even
-/// during shutdown, so a crash mid-drain cannot strand queued tickets.
-/// Progress is guaranteed: every crash consumes at least the batch it
-/// popped (those tickets resolve to `WorkerCrashed`), and a closed
-/// engine admits nothing new. Exits once the engine is closed and the
-/// last worker has drained.
-fn supervisor_loop(inner: Arc<EngineInner>) {
+/// Blocks until a robot is listed (and the pool is not paused), then
+/// takes it off the list; `None` once the engine is closed and the list
+/// is empty.
+fn next_listed(inner: &EngineInner) -> Option<Arc<RobotSlot>> {
+    let mut ready = inner.ready.lock().expect("ready list poisoned");
     loop {
         let closed = inner.closed.load(Ordering::SeqCst);
-        {
-            let mut sup = inner.supervision.lock().expect("supervision poisoned");
-            let mut finished = Vec::new();
-            let mut i = 0;
-            while i < sup.workers.len() {
-                if sup.workers[i].handle.is_finished() {
-                    finished.push(sup.workers.remove(i));
-                } else {
-                    i += 1;
-                }
+        // Shutdown overrides pause so a paused engine still drains.
+        if closed || !inner.paused.load(Ordering::SeqCst) {
+            if let Some(slot) = ready.pop_front() {
+                return Some(slot);
             }
-            for cell in finished {
-                let crashed = match cell.handle.join() {
-                    Ok(WorkerExit::Drained) => false,
-                    // A real panic (join error) is treated exactly like
-                    // an injected crash: restart.
-                    Ok(WorkerExit::Crashed) | Err(_) => true,
-                };
-                if crashed {
-                    inner.stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    obs::metrics().counter(WORKER_RESTARTS_METRIC).add(1);
-                    let replacement =
-                        spawn_worker(cell.robot, Arc::clone(&inner), Arc::clone(&cell.slot));
-                    sup.workers.push(replacement);
-                }
-            }
-            if closed && sup.workers.is_empty() {
-                return;
+            if closed {
+                return None;
             }
         }
-        std::thread::sleep(Duration::from_millis(2));
+        ready = inner.work.wait(ready).expect("ready list poisoned");
     }
+}
+
+/// Pops a batch for one free instance of a robot just taken off the
+/// ready list, and lists the robot again if work and another free
+/// instance remain. Returns the batch and the instance's scratch; `None`
+/// when an earlier claim already popped the work this entry was listed
+/// for.
+fn claim_instance(
+    inner: &EngineInner,
+    slot: &Arc<RobotSlot>,
+) -> Option<(Vec<Pending>, WorkerScratch)> {
+    let mut lane = slot.lane.lock().expect("robot lane poisoned");
+    lane.listed -= 1;
+    if inner.free_instances(&lane) == 0 {
+        return None;
+    }
+    let batch = lane.queue.pop_batch(inner.cfg.max_batch)?;
+    let scratch = lane.idle.pop().expect("a free instance has scratch");
+    list_if_runnable(inner, slot, &mut lane);
+    Some((batch, scratch))
+}
+
+/// Frees the instance a batch ran on, handing back its scratch, and
+/// lists the robot again if work is waiting.
+fn release_instance(inner: &EngineInner, slot: &Arc<RobotSlot>, scratch: WorkerScratch) {
+    let mut lane = slot.lane.lock().expect("robot lane poisoned");
+    lane.idle.push(scratch);
+    list_if_runnable(inner, slot, &mut lane);
+}
+
+/// Executes one popped batch on an instance's scratch, coalescing
+/// compatible ∇FD requests, and returns the scratch. When the batch
+/// crashed (injected or a real panic), its unresolved tickets resolve
+/// to `WorkerCrashed` and the instance is replaced: its scratch is
+/// dropped, since a panic mid-evaluation may leave consumed-on-read
+/// accumulators dirty, and a fresh unbound one is returned.
+fn run_batch(
+    inner: &EngineInner,
+    slot: &RobotSlot,
+    mut scratch: WorkerScratch,
+    batch: Vec<Pending>,
+) -> WorkerScratch {
+    let depth = inner
+        .depth
+        .fetch_sub(batch.len() as u64, Ordering::Relaxed)
+        .saturating_sub(batch.len() as u64);
+    obs::metrics().gauge(QUEUE_DEPTH_METRIC).set(depth as f64);
+    // Keep enough of each request to clean up after a crash: the
+    // ticket, its probe flag, and its enqueue time (for latency).
+    let tickets: Vec<(Ticket, bool, Instant)> = batch
+        .iter()
+        .map(|p| (p.ticket.clone(), p.probe, p.enqueued))
+        .collect();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        execute(inner, slot, &mut scratch, batch)
+    }));
+    if matches!(outcome, Ok(ExecOutcome::Completed)) {
+        return scratch;
+    }
+    drop(scratch);
+    inner.stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
+    obs::metrics().counter(WORKER_RESTARTS_METRIC).add(1);
+    for (ticket, probe, enqueued) in tickets {
+        if !ticket.claim() {
+            continue;
+        }
+        // Account before publishing, as `submit` does: whoever wakes on
+        // the ticket already sees the crash counted.
+        inner.stats.crashed.fetch_add(1, Ordering::Relaxed);
+        obs::metrics().counter(CRASHED_METRIC).add(1);
+        obs::metrics().counter(RESPONSES_METRIC).add(1);
+        let latency_us = enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        obs::metrics()
+            .histogram(LATENCY_METRIC, &LATENCY_BOUNDS_US)
+            .record(latency_us);
+        record_circuit_failure(inner, slot, probe);
+        ticket.publish(Err(ServeError::WorkerCrashed));
+    }
+    WorkerScratch::default()
 }
 
 fn execute(
@@ -1372,8 +1427,8 @@ fn execute(
                 .injected_crashes
                 .fetch_add(crash_marked, Ordering::Relaxed);
             obs::metrics().counter(FAULT_CRASH_METRIC).add(crash_marked);
-            // Die before dispatch: the worker loop resolves the batch's
-            // tickets to `WorkerCrashed` and the supervisor restarts us.
+            // Die before dispatch: `run_batch` resolves the batch's
+            // tickets to `WorkerCrashed` and replaces the instance.
             return ExecOutcome::InjectedCrash;
         }
     }
@@ -1625,7 +1680,7 @@ fn finish(
         Err(e) => {
             inner.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
             obs::metrics().counter(BAD_REQUEST_METRIC).add(1);
-            // A sim error still proves the worker is alive — record a
+            // A sim error still proves the instance is alive — record a
             // success so a half-open probe releases and the streak
             // resets.
             record_circuit_success(inner, slot, p.probe);
@@ -1884,7 +1939,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_crash_resolves_tickets_and_supervisor_restarts_worker() {
+    fn injected_crash_resolves_tickets_and_replaces_the_instance() {
         let engine = engine_with(
             Zoo::Iiwa,
             EngineConfig {
@@ -1908,18 +1963,22 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.crashed, 1);
         assert_eq!(stats.injected_crashes, 1);
+        // The replacement is counted before the ticket resolves.
+        assert_eq!(stats.worker_restarts, 1);
 
-        // The supervisor brings the worker back.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let health = engine.health();
-            if health.robots[0].workers_alive == 1 && engine.stats().worker_restarts >= 1 {
-                assert!(health.ready);
-                break;
-            }
-            assert!(Instant::now() < deadline, "worker never restarted");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // The crashed instance is replaced: the robot keeps its one
+        // instance, and the replacement takes the next request (which
+        // crashes too at rate 1.0; without a replacement it would never
+        // resolve). That the replacement's arena is fresh is checked by
+        // `responses_after_a_crash_are_bit_exact_on_a_fresh_arena`.
+        let health = engine.health();
+        assert!(health.ready);
+        assert_eq!(health.robots[0].workers_alive, 1);
+        let again = engine
+            .submit(ServeRequest::kinematics("iiwa", vec![0.2; 7]))
+            .unwrap();
+        assert_eq!(again.wait().unwrap_err(), ServeError::WorkerCrashed);
+        assert_eq!(engine.stats().worker_restarts, 2);
         engine.shutdown();
     }
 
@@ -2205,6 +2264,319 @@ mod tests {
         assert_eq!(health.robots[0].circuit, CircuitState::Closed);
         assert_eq!(health.robots[0].workers_alive, 2);
         engine.shutdown();
-        assert!(!engine.health().ready, "closed engine is not ready");
+        let health = engine.health();
+        assert!(!health.ready, "closed engine is not ready");
+        assert_eq!(
+            health.robots[0].workers_alive, 0,
+            "no instance after shutdown"
+        );
+    }
+
+    fn slot_of(engine: &Engine, robot: &str) -> Arc<RobotSlot> {
+        Arc::clone(&engine.inner.robots.read().unwrap()[robot])
+    }
+
+    #[test]
+    fn a_long_rollout_on_one_robot_does_not_hold_up_another() {
+        let engine = Engine::with_pipeline(EngineConfig::default(), Pipeline::new());
+        engine.register("arm", zoo(Zoo::HyqArm));
+        engine.register("iiwa", zoo(Zoo::Iiwa));
+        assert!(engine.inner.pool.lock().unwrap().len() >= 2, "pool threads");
+        let n = engine.num_links("arm").unwrap();
+        let rollout = engine
+            .submit(ServeRequest::rollout(
+                "arm",
+                vec![0.1; n],
+                vec![0.0; n],
+                vec![0.2; n],
+                1_000,
+            ))
+            .unwrap();
+        wait_running(&engine, "arm", 1);
+        let gradient = engine
+            .submit(ServeRequest::gradient(
+                "iiwa",
+                vec![0.3; 7],
+                vec![0.1; 7],
+                vec![0.5; 7],
+            ))
+            .unwrap();
+        assert!(gradient.wait().is_ok());
+        assert!(
+            rollout.try_take().is_none(),
+            "the ∇FD request resolved while the rollout still ran"
+        );
+        assert!(rollout.wait().is_ok());
+        engine.shutdown();
+    }
+
+    /// Blocks until `robot` runs `count` batches.
+    fn wait_running(engine: &Engine, robot: &str, count: usize) {
+        let slot = slot_of(engine, robot);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while engine.inner.instances() - slot.lane.lock().unwrap().idle.len() < count {
+            assert!(
+                Instant::now() < deadline,
+                "{robot} never ran {count} batches"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn long_rollouts_filling_one_robot_leave_a_thread_to_another() {
+        // As many instances as pool threads (the default on a 2-CPU
+        // host): one robot's rollouts could otherwise hold every thread.
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .max(2);
+        let engine = Engine::with_pipeline(
+            EngineConfig {
+                workers_per_robot: threads,
+                ..EngineConfig::default()
+            },
+            Pipeline::new(),
+        );
+        engine.register("arm", zoo(Zoo::HyqArm));
+        engine.register("iiwa", zoo(Zoo::Iiwa));
+        assert_eq!(engine.inner.pool.lock().unwrap().len(), threads);
+        let n = engine.num_links("arm").unwrap();
+        let rollouts: Vec<Ticket> = (0..threads)
+            .map(|_| {
+                let (q, qd, tau) = (vec![0.1; n], vec![0.0; n], vec![0.2; n]);
+                engine
+                    .submit(ServeRequest::rollout("arm", q, qd, tau, 1_000))
+                    .unwrap()
+            })
+            .collect();
+        // The arm runs as many rollouts as it may; the rest wait.
+        wait_running(&engine, "arm", engine.inner.max_running());
+        let gradient = engine
+            .submit(ServeRequest::gradient(
+                "iiwa",
+                vec![0.3; 7],
+                vec![0.1; 7],
+                vec![0.5; 7],
+            ))
+            .unwrap();
+        assert!(gradient.wait().is_ok());
+        for rollout in &rollouts {
+            assert!(
+                rollout.try_take().is_none(),
+                "the ∇FD request resolved while every rollout still ran or waited"
+            );
+        }
+        for rollout in &rollouts {
+            assert!(rollout.wait().is_ok());
+        }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_robot_never_runs_more_batches_than_its_instances() {
+        // Paused, the pool takes nothing: this thread plays a pool
+        // thread and claims instances by hand.
+        let engine = engine_with(
+            Zoo::Iiwa,
+            EngineConfig {
+                workers_per_robot: 2,
+                max_batch: 1,
+                start_paused: true,
+                ..EngineConfig::default()
+            },
+        );
+        let tickets: Vec<Ticket> = (0..4)
+            .map(|_| {
+                engine
+                    .submit(ServeRequest::kinematics("iiwa", vec![0.1; 7]))
+                    .unwrap()
+            })
+            .collect();
+        let inner = &engine.inner;
+        let listed = || inner.ready.lock().unwrap().len();
+        let take_listed = || inner.ready.lock().unwrap().pop_front();
+        assert_eq!(listed(), 2, "listed once per free instance");
+        let slot = take_listed().unwrap();
+        let (first, scratch_a) = claim_instance(inner, &slot).unwrap();
+        // Work waits and one instance is free: its entry stays, so a
+        // second pool thread can split the burst.
+        assert_eq!(listed(), 1);
+        let again = take_listed().unwrap();
+        let (second, scratch_b) = claim_instance(inner, &again).unwrap();
+        // Both instances run: not listed, however much work waits.
+        assert_eq!(listed(), 0);
+        {
+            let lane = slot.lane.lock().unwrap();
+            assert!(lane.idle.is_empty(), "both instances run");
+            assert_eq!(lane.queue.len(), 2, "two requests still wait");
+        }
+        // Freeing an instance lists the robot again, with its arena kept.
+        let scratch_a = run_batch(inner, &slot, scratch_a, first);
+        release_instance(inner, &slot, scratch_a);
+        assert_eq!(listed(), 1);
+        let scratch_b = run_batch(inner, &slot, scratch_b, second);
+        release_instance(inner, &slot, scratch_b);
+        assert_eq!(listed(), 2);
+        let fk = &slot.programs[&KernelKind::ForwardKinematics];
+        let lane = slot.lane.lock().unwrap();
+        assert_eq!(lane.idle.len(), 2);
+        assert!(lane.idle.iter().all(|s| s.kinematics.is_bound_to(fk)));
+        drop(lane);
+        engine.resume();
+        for t in &tickets {
+            assert!(t.wait().is_ok());
+        }
+        assert_eq!(engine.stats().batches, 4);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn an_entry_whose_work_was_coalesced_away_claims_nothing() {
+        let engine = engine_with(
+            Zoo::Iiwa,
+            EngineConfig {
+                workers_per_robot: 2,
+                start_paused: true,
+                ..EngineConfig::default()
+            },
+        );
+        let tickets: Vec<Ticket> = (0..2)
+            .map(|_| {
+                let (q, qd, tau) = (vec![0.3; 7], vec![0.1; 7], vec![0.5; 7]);
+                engine
+                    .submit(ServeRequest::gradient("iiwa", q, qd, tau))
+                    .unwrap()
+            })
+            .collect();
+        let inner = &engine.inner;
+        let take_listed = || inner.ready.lock().unwrap().pop_front();
+        let slot = take_listed().unwrap();
+        let (batch, scratch) = claim_instance(inner, &slot).unwrap();
+        assert_eq!(batch.len(), 2, "one claim coalesces both requests");
+        // The second entry finds the queue empty and takes no instance.
+        let stale = take_listed().unwrap();
+        assert!(claim_instance(inner, &stale).is_none());
+        assert_eq!(slot.lane.lock().unwrap().idle.len(), 1);
+        release_instance(inner, &slot, run_batch(inner, &slot, scratch, batch));
+        assert!(take_listed().is_none());
+        assert_eq!(slot.lane.lock().unwrap().listed, 0);
+        for t in &tickets {
+            assert!(t.try_take().is_some_and(|r| r.is_ok()));
+        }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn responses_after_a_crash_are_bit_exact_on_a_fresh_arena() {
+        let engine = engine_with(
+            Zoo::Iiwa,
+            EngineConfig {
+                workers_per_robot: 1,
+                max_batch: 1,
+                circuit_threshold: 1_000, // keep the circuit out of the way
+                chaos: Some(FaultConfig {
+                    seed: 3,
+                    stall: 0.0,
+                    crash: 0.3,
+                    corrupt: 0.0,
+                    pressure: 0.0,
+                }),
+                ..EngineConfig::default()
+            },
+        );
+        let robot = zoo(Zoo::Iiwa);
+        let design = engine
+            .design_for("iiwa", KernelKind::DynamicsGradient)
+            .unwrap();
+        let slot = slot_of(&engine, "iiwa");
+        let program = &slot.programs[&KernelKind::DynamicsGradient];
+        // Whether the instance's arena is still bound once its batch is
+        // released: a crashed arena is dropped for an unbound one.
+        let arena_kept = || loop {
+            if let Some(scratch) = slot.lane.lock().unwrap().idle.first() {
+                return scratch.gradient.is_bound_to(program);
+            }
+            std::thread::yield_now();
+        };
+        let (mut crashes, mut ok_after_crash, mut after_crash) = (0, 0, false);
+        for i in 0..64 {
+            let q: Vec<f64> = (0..7)
+                .map(|j| 0.05 * f64::from(i) - 0.1 * j as f64)
+                .collect();
+            let (qd, tau) = (vec![0.1; 7], vec![0.3; 7]);
+            let request = ServeRequest::gradient("iiwa", q.clone(), qd.clone(), tau.clone());
+            match engine.submit(request).unwrap().wait() {
+                Err(ServeError::WorkerCrashed) => {
+                    assert!(!arena_kept(), "a crashed arena is dropped");
+                    crashes += 1;
+                    after_crash = true;
+                }
+                Ok(ServePayload::Gradient {
+                    tau: t,
+                    dqdd_dq,
+                    dqdd_dqd,
+                    cycles,
+                }) => {
+                    let reference = try_simulate(&robot, &design, &q, &qd, &tau).unwrap();
+                    assert_eq!(cycles, reference.stats.cycles);
+                    for j in 0..7 {
+                        assert_eq!(t[j].to_bits(), reference.tau[j].to_bits());
+                        for k in 0..7 {
+                            assert_eq!(
+                                dqdd_dq[j * 7 + k].to_bits(),
+                                reference.dqdd_dq[(j, k)].to_bits()
+                            );
+                            assert_eq!(
+                                dqdd_dqd[j * 7 + k].to_bits(),
+                                reference.dqdd_dqd[(j, k)].to_bits()
+                            );
+                        }
+                    }
+                    assert!(arena_kept(), "a clean arena is kept");
+                    ok_after_crash += usize::from(after_crash);
+                    after_crash = false;
+                }
+                other => panic!("unexpected outcome: {other:?}"),
+            }
+        }
+        assert!(ok_after_crash > 0, "no success followed a crash");
+        assert_eq!(engine.stats().worker_restarts, crashes);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn shutdown_of_a_paused_engine_resolves_every_queued_ticket() {
+        let engine = Engine::with_pipeline(
+            EngineConfig {
+                start_paused: true,
+                ..EngineConfig::default()
+            },
+            Pipeline::new(),
+        );
+        let robots = [Zoo::Iiwa, Zoo::Hyq, Zoo::Baxter];
+        for robot in robots {
+            engine.register(robot.name(), zoo(robot));
+        }
+        let mut tickets = Vec::new();
+        for robot in robots {
+            let n = engine.num_links(robot.name()).unwrap();
+            let state = || (vec![0.2; n], vec![0.1; n], vec![0.3; n]);
+            for i in 0..12 {
+                let (q, qd, tau) = state();
+                let req = match i % 4 {
+                    0 => ServeRequest::rollout(robot.name(), q, qd, tau, 3),
+                    1 => ServeRequest::mixed(robot.name(), q, qd, tau),
+                    2 => ServeRequest::kinematics(robot.name(), q),
+                    _ => ServeRequest::gradient(robot.name(), q, qd, tau),
+                };
+                tickets.push(engine.submit(req).unwrap());
+            }
+        }
+        engine.shutdown();
+        for t in &tickets {
+            assert!(t.try_take().is_some_and(|r| r.is_ok()));
+        }
+        assert_eq!(engine.stats().completed, tickets.len() as u64);
+        assert!(engine.inner.pool.lock().unwrap().is_empty(), "pool joined");
     }
 }

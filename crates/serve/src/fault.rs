@@ -14,9 +14,10 @@
 //!
 //! * [`FaultSite::WorkerStall`] — a worker sleeps for a bounded,
 //!   deterministic duration before executing (a GC pause, a bus hiccup).
-//! * [`FaultSite::WorkerCrash`] — a worker panics mid-execution; the
-//!   engine's supervisor restarts it and the in-flight tickets resolve
-//!   to the retryable [`crate::ServeError::WorkerCrashed`].
+//! * [`FaultSite::WorkerCrash`] — an accelerator instance dies
+//!   mid-execution; the engine drops its scratch, replaces it, and the
+//!   in-flight tickets resolve to the retryable
+//!   [`crate::ServeError::WorkerCrashed`].
 //! * [`FaultSite::QueuePressure`] — admission behaves as if the queue
 //!   were full, shedding the request (exercises client backoff).
 //! * [`FaultSite::FrameCorrupt`] — a response frame is damaged on the

@@ -7,12 +7,17 @@
 //! * [`Engine`] — the in-process runtime. It owns a warmed
 //!   [`roboshape_pipeline::Pipeline`] artifact store and, per registered
 //!   robot, the three kernel designs (∇FD, inverse dynamics, forward
-//!   kinematics) plus a pool of simulated accelerator instances (worker
-//!   threads running the cycle-level simulator). Requests are submitted
-//!   with [`Engine::submit`] and awaited on the returned [`Ticket`].
+//!   kinematics) plus its simulated accelerator instances, each with
+//!   its own scratch arenas for the cycle-level simulator. One executor
+//!   pool, spawned with the engine and sized by the host's CPUs rather
+//!   than by the number of robots, runs every robot's instances.
+//!   Requests are submitted with [`Engine::submit`] and awaited on the
+//!   returned [`Ticket`].
 //! * A **deadline-aware batching scheduler** — each robot has a bounded
-//!   earliest-deadline-first queue. Workers pop the most urgent request
-//!   and coalesce compatible ∇FD requests into one
+//!   earliest-deadline-first queue. A robot with queued work and a free
+//!   instance waits on the engine's ready list (a robot sharing the
+//!   engine with others never holds every pool thread); a pool thread takes it,
+//!   pops the most urgent request and coalesces compatible ∇FD requests into one
 //!   [`roboshape_sim::try_simulate_batch`] call (per-step results are
 //!   bit-identical to single-request evaluation, so batching is purely a
 //!   throughput optimisation). Overload is explicit: a full queue sheds
@@ -59,7 +64,7 @@
 //! | `serve.fault.worker_crash` | counter | requests hit by injected crashes |
 //! | `serve.fault.frame_corrupt` | counter | response frames damaged on wire |
 //! | `serve.fault.queue_pressure` | counter | injected admission sheds |
-//! | `serve.fault.worker_restarts` | counter | workers restarted by supervisor |
+//! | `serve.fault.worker_restarts` | counter | crashed instances replaced |
 //! | `serve.rollout.requests` | counter | rollout workloads executed |
 //! | `serve.rollout.steps` | counter | ∇FD steps executed inside rollouts |
 //! | `serve.mixed.requests` | counter | mixed ID→∇FD→FK chains executed |
@@ -81,8 +86,9 @@
 //! and can *manufacture* both deterministically for testing: a seeded
 //! [`FaultPlan`] (see [`fault`]) injects worker stalls, worker crashes,
 //! synthetic queue pressure, and corrupted response frames as a pure
-//! function of `(seed, site, key)`. Tolerance comes from worker
-//! supervision with automatic restart, a per-robot [`CircuitBreaker`]
+//! function of `(seed, site, key)`. Tolerance comes from replacing a
+//! crashed accelerator instance (its scratch is dropped, the pool thread
+//! carries on), a per-robot [`CircuitBreaker`]
 //! that degrades to the analytical clock-period model while open, frame
 //! checksums, and client-side retry with exponential backoff in the
 //! load generator.
@@ -169,7 +175,8 @@ pub const FAULT_CRASH_METRIC: &str = "serve.fault.worker_crash";
 pub const FAULT_CORRUPT_METRIC: &str = "serve.fault.frame_corrupt";
 /// Counter: admissions shed as injected queue pressure.
 pub const FAULT_PRESSURE_METRIC: &str = "serve.fault.queue_pressure";
-/// Counter: crashed workers restarted by the supervisor.
+/// Counter: crashed accelerator instances replaced (each crash drops the
+/// instance's scratch arenas; the next batch binds fresh ones).
 pub const WORKER_RESTARTS_METRIC: &str = "serve.fault.worker_restarts";
 /// Counter: rollout workloads executed worker-side.
 pub const ROLLOUT_REQUESTS_METRIC: &str = "serve.rollout.requests";

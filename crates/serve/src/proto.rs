@@ -203,12 +203,16 @@ impl<'a> Reader<'a> {
         self.buf.copy_to_slice(&mut raw);
         String::from_utf8(raw).map_err(|_| ProtoError::BadUtf8)
     }
-    /// A count field that must be plausible for `width`-byte elements.
+    /// A count of elements that each encode to at least `width` bytes.
+    /// The elements must fit in the bytes left, so a hostile count
+    /// cannot make the caller reserve more than the frame holds.
     fn count(&mut self, width: usize) -> Result<usize, ProtoError> {
         let count = self.u32()? as usize;
-        if count.saturating_mul(width) > MAX_FRAME {
+        let bytes = count.saturating_mul(width);
+        if bytes > MAX_FRAME {
             return Err(ProtoError::BadLength(count as u64));
         }
+        self.need(bytes)?;
         Ok(count)
     }
 }
@@ -423,6 +427,7 @@ pub fn decode_hello_response(body: &[u8]) -> Result<(u64, HelloInfo), ProtoError
         return Err(ProtoError::BadTag(status));
     }
     let shard = r.string()?;
+    // Per robot: at least its u32 name length.
     let count = r.count(4)?;
     let mut robots = Vec::with_capacity(count);
     for _ in 0..count {
@@ -765,7 +770,8 @@ pub fn decode_response(body: &[u8]) -> Result<ResponseFrame, ProtoError> {
         }
         STATUS_HEALTH => {
             let ready = r.u8()? != 0;
-            let count = r.count(10)?;
+            // Per robot: u32 name length, u8 circuit, u32 workers_alive.
+            let count = r.count(9)?;
             let mut robots = Vec::with_capacity(count);
             for _ in 0..count {
                 let name = r.string()?;

@@ -1,15 +1,13 @@
 //! Bounded earliest-deadline-first request queue.
 //!
-//! One [`EdfQueue`] per registered robot. `std::sync`'s `Condvar` is used
-//! (rather than the vendored `parking_lot`, whose API subset has no
-//! condition variable) so workers can block until work arrives.
+//! One [`EdfQueue`] per registered robot. The queue itself never blocks:
+//! it lives under its robot's dispatch lock in the engine, and the
+//! engine's executor pool decides when to pop it.
 
 use crate::engine::{ServeRequest, Ticket};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A request sitting in a robot's queue, with everything needed to
 /// execute it and fulfil its ticket.
@@ -60,18 +58,16 @@ impl Ord for Pending {
     }
 }
 
-/// A bounded EDF queue with condition-variable hand-off to workers.
+/// A bounded EDF queue of one robot's pending requests.
 pub(crate) struct EdfQueue {
-    heap: Mutex<BinaryHeap<Pending>>,
-    available: Condvar,
+    heap: BinaryHeap<Pending>,
     capacity: usize,
 }
 
 impl EdfQueue {
     pub fn new(capacity: usize) -> EdfQueue {
         EdfQueue {
-            heap: Mutex::new(BinaryHeap::new()),
-            available: Condvar::new(),
+            heap: BinaryHeap::new(),
             capacity: capacity.max(1),
         }
     }
@@ -82,68 +78,39 @@ impl EdfQueue {
     // the caller can resolve its ticket; boxing would allocate on the
     // hot admission path.
     #[allow(clippy::result_large_err)]
-    pub fn try_push(&self, pending: Pending) -> Result<(), Pending> {
-        let mut heap = self.heap.lock().expect("serve queue poisoned");
-        if heap.len() >= self.capacity {
+    pub fn try_push(&mut self, pending: Pending) -> Result<(), Pending> {
+        if self.heap.len() >= self.capacity {
             return Err(pending);
         }
-        heap.push(pending);
-        drop(heap);
-        self.available.notify_one();
+        self.heap.push(pending);
         Ok(())
     }
 
-    /// Blocks until work is available (and the engine is not paused),
-    /// then pops the EDF head plus up to `max - 1` further ∇FD requests
-    /// to coalesce into one batched execution. Returns `None` once
-    /// `closed` is set and the queue has drained — the worker's signal
-    /// to exit.
-    pub fn next_batch(
-        &self,
-        max: usize,
-        paused: &AtomicBool,
-        closed: &AtomicBool,
-    ) -> Option<Vec<Pending>> {
-        let mut heap = self.heap.lock().expect("serve queue poisoned");
-        loop {
-            let is_closed = closed.load(AtomicOrdering::SeqCst);
-            // Shutdown overrides pause so a paused engine still drains.
-            let is_paused = paused.load(AtomicOrdering::SeqCst) && !is_closed;
-            if !heap.is_empty() && !is_paused {
-                break;
-            }
-            if is_closed && heap.is_empty() {
-                return None;
-            }
-            // Timed wait: flag flips are also notified, but the timeout
-            // bounds the window of any missed wakeup.
-            let (guard, _) = self
-                .available
-                .wait_timeout(heap, Duration::from_millis(25))
-                .expect("serve queue poisoned");
-            heap = guard;
-        }
-        let first = heap.pop().expect("non-empty by loop invariant");
+    /// Requests waiting.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Pops the EDF head plus up to `max - 1` further ∇FD requests to
+    /// coalesce into one batched execution; `None` when the queue is
+    /// empty.
+    pub fn pop_batch(&mut self, max: usize) -> Option<Vec<Pending>> {
+        let first = self.heap.pop()?;
         // Only independent single-step ∇FD work coalesces; trajectory
         // workloads (rollouts, mixed chains) pop alone, so one long
-        // rollout occupies exactly one worker dispatch and the
-        // coalescable batches queued behind it drain normally.
+        // rollout occupies exactly one instance and the coalescable
+        // batches queued behind it drain normally.
         let coalesce = first.req.kind.is_coalescable();
         let mut batch = vec![first];
         while coalesce && batch.len() < max.max(1) {
-            match heap.peek() {
+            match self.heap.peek() {
                 Some(next) if next.req.kind.is_coalescable() => {
-                    batch.push(heap.pop().expect("peeked"));
+                    batch.push(self.heap.pop().expect("peeked"));
                 }
                 _ => break,
             }
         }
         Some(batch)
-    }
-
-    /// Wakes every worker parked on this queue (pause/close changed).
-    pub fn notify_all(&self) {
-        self.available.notify_all();
     }
 }
 
@@ -151,6 +118,7 @@ impl EdfQueue {
 mod tests {
     use super::*;
     use crate::engine::ServeRequest;
+    use std::time::Duration;
 
     fn pending(seq: u64, deadline_us: Option<u64>, base: Instant) -> Pending {
         Pending {
@@ -165,52 +133,46 @@ mod tests {
 
     #[test]
     fn pops_in_deadline_order_with_fifo_tiebreak() {
-        let q = EdfQueue::new(8);
+        let mut q = EdfQueue::new(8);
         let base = Instant::now();
         for (seq, dl) in [(0, Some(500)), (1, None), (2, Some(100)), (3, Some(100))] {
             q.try_push(pending(seq, dl, base)).unwrap();
         }
-        let paused = AtomicBool::new(false);
-        let closed = AtomicBool::new(false);
-        let batch = q.next_batch(4, &paused, &closed).unwrap();
+        let batch = q.pop_batch(4).unwrap();
         let seqs: Vec<u64> = batch.iter().map(|p| p.seq).collect();
         assert_eq!(seqs, vec![2, 3, 0, 1], "EDF order, None last, FIFO ties");
     }
 
     #[test]
-    fn sheds_when_full_and_drains_after_close() {
-        let q = EdfQueue::new(2);
+    fn sheds_when_full_and_pops_until_empty() {
+        let mut q = EdfQueue::new(2);
         let base = Instant::now();
         q.try_push(pending(0, None, base)).unwrap();
         q.try_push(pending(1, None, base)).unwrap();
         assert!(q.try_push(pending(2, None, base)).is_err(), "at capacity");
 
-        let paused = AtomicBool::new(false);
-        let closed = AtomicBool::new(true);
-        assert_eq!(q.next_batch(1, &paused, &closed).unwrap().len(), 1);
-        assert_eq!(q.next_batch(1, &paused, &closed).unwrap().len(), 1);
-        assert!(q.next_batch(1, &paused, &closed).is_none(), "drained");
+        assert_eq!(q.pop_batch(1).unwrap().len(), 1);
+        assert_eq!(q.pop_batch(1).unwrap().len(), 1);
+        assert!(q.pop_batch(1).is_none(), "drained");
     }
 
     #[test]
     fn equal_deadlines_pop_in_strict_admission_order() {
-        let q = EdfQueue::new(16);
+        let mut q = EdfQueue::new(16);
         let base = Instant::now();
         // All the same absolute deadline; admission order scrambled
         // relative to seq so a heap bug would show.
         for seq in [5, 1, 9, 3, 7] {
             q.try_push(pending(seq, Some(1_000), base)).unwrap();
         }
-        let paused = AtomicBool::new(false);
-        let closed = AtomicBool::new(false);
-        let batch = q.next_batch(5, &paused, &closed).unwrap();
+        let batch = q.pop_batch(5).unwrap();
         let seqs: Vec<u64> = batch.iter().map(|p| p.seq).collect();
         assert_eq!(seqs, vec![1, 3, 5, 7, 9], "FIFO by seq at equal deadlines");
     }
 
     #[test]
     fn rejection_hands_back_the_newcomer_and_preserves_queue_contents() {
-        let q = EdfQueue::new(2);
+        let mut q = EdfQueue::new(2);
         let base = Instant::now();
         // Two lax-deadline requests fill the queue; an *urgent* newcomer
         // is still the one rejected — bounded queues never evict.
@@ -219,18 +181,16 @@ mod tests {
         let bounced = q.try_push(pending(2, Some(1), base)).unwrap_err();
         assert_eq!(bounced.seq, 2, "the newcomer bounces, urgent or not");
 
-        let paused = AtomicBool::new(false);
-        let closed = AtomicBool::new(false);
-        let batch = q.next_batch(4, &paused, &closed).unwrap();
+        let batch = q.pop_batch(4).unwrap();
         let seqs: Vec<u64> = batch.iter().map(|p| p.seq).collect();
         assert_eq!(seqs, vec![0, 1], "queued requests untouched by the shed");
     }
 
     #[test]
     fn trajectory_requests_pop_alone_and_never_join_gradient_batches() {
-        let q = EdfQueue::new(16);
+        let mut q = EdfQueue::new(16);
         let base = Instant::now();
-        let push = |seq: u64, req: ServeRequest| {
+        let mut push = |seq: u64, req: ServeRequest| {
             q.try_push(Pending {
                 deadline: Some(base + Duration::from_micros(100 + seq)),
                 seq,
@@ -246,23 +206,21 @@ mod tests {
         push(1, ServeRequest::gradient("r", vec![], vec![], vec![]));
         push(2, ServeRequest::gradient("r", vec![], vec![], vec![]));
 
-        let paused = AtomicBool::new(false);
-        let closed = AtomicBool::new(false);
         // The rollout is most urgent and pops strictly alone …
-        let batch = q.next_batch(8, &paused, &closed).unwrap();
+        let batch = q.pop_batch(8).unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].seq, 0);
         // … while the ∇FD requests behind it still coalesce normally.
-        let batch = q.next_batch(8, &paused, &closed).unwrap();
+        let batch = q.pop_batch(8).unwrap();
         let seqs: Vec<u64> = batch.iter().map(|p| p.seq).collect();
         assert_eq!(seqs, vec![1, 2]);
     }
 
     #[test]
     fn gradient_batch_stops_at_a_queued_trajectory_request() {
-        let q = EdfQueue::new(16);
+        let mut q = EdfQueue::new(16);
         let base = Instant::now();
-        let push = |seq: u64, req: ServeRequest| {
+        let mut push = |seq: u64, req: ServeRequest| {
             q.try_push(Pending {
                 deadline: Some(base + Duration::from_micros(100 + seq)),
                 seq,
@@ -277,57 +235,10 @@ mod tests {
         push(1, ServeRequest::mixed("r", vec![], vec![], vec![]));
         push(2, ServeRequest::gradient("r", vec![], vec![], vec![]));
 
-        let paused = AtomicBool::new(false);
-        let closed = AtomicBool::new(false);
-        let batch = q.next_batch(8, &paused, &closed).unwrap();
+        let batch = q.pop_batch(8).unwrap();
         let seqs: Vec<u64> = batch.iter().map(|p| p.seq).collect();
         assert_eq!(seqs, vec![0], "coalescing halts at the mixed request");
-        assert_eq!(q.next_batch(8, &paused, &closed).unwrap()[0].seq, 1);
-        assert_eq!(q.next_batch(8, &paused, &closed).unwrap()[0].seq, 2);
-    }
-
-    #[test]
-    fn concurrent_drain_during_shutdown_delivers_every_request_once() {
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Arc;
-
-        let q = Arc::new(EdfQueue::new(256));
-        let base = Instant::now();
-        for seq in 0..100 {
-            q.try_push(pending(seq, Some(1_000 + seq), base)).unwrap();
-        }
-        let paused = Arc::new(AtomicBool::new(false));
-        let closed = Arc::new(AtomicBool::new(false));
-        let popped = Arc::new(AtomicU64::new(0));
-        let seen_mask = Arc::new(Mutex::new(vec![0u8; 100]));
-
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                let (q, paused, closed) =
-                    (Arc::clone(&q), Arc::clone(&paused), Arc::clone(&closed));
-                let (popped, seen) = (Arc::clone(&popped), Arc::clone(&seen_mask));
-                std::thread::spawn(move || {
-                    while let Some(batch) = q.next_batch(4, &paused, &closed) {
-                        let mut mask = seen.lock().unwrap();
-                        for p in &batch {
-                            mask[p.seq as usize] += 1;
-                        }
-                        drop(mask);
-                        popped.fetch_add(batch.len() as u64, AtomicOrdering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-
-        // Close mid-drain: workers already have batches in flight.
-        std::thread::sleep(Duration::from_millis(1));
-        closed.store(true, AtomicOrdering::SeqCst);
-        q.notify_all();
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(popped.load(AtomicOrdering::Relaxed), 100, "nothing lost");
-        let mask = seen_mask.lock().unwrap();
-        assert!(mask.iter().all(|&c| c == 1), "each delivered exactly once");
+        assert_eq!(q.pop_batch(8).unwrap()[0].seq, 1);
+        assert_eq!(q.pop_batch(8).unwrap()[0].seq, 2);
     }
 }
