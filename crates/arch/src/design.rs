@@ -10,7 +10,6 @@ use roboshape_topology::Topology;
 /// kernels (Sec. 4: "can flexibly implement accelerators for a broad
 /// class of robotics computations").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KernelKind {
     /// Forward-dynamics gradients (paper Alg. 1) — traversals + blocked
     /// mass-matrix multiplication.

@@ -2,7 +2,6 @@
 
 /// How many block mat-mul units a design instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MatmulUnits {
     /// One unit per robot link — the paper's Fig. 6c strategy of feeding
     /// nonzero blocks into "parallel per-link PEs". The default for
@@ -36,7 +35,6 @@ impl MatmulUnits {
 /// assert_eq!(knobs.block_size, 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AcceleratorKnobs {
     /// Forward-traversal processing elements.
     pub pe_fwd: usize,

@@ -4,7 +4,6 @@ use crate::Resources;
 
 /// An FPGA platform's resource envelope.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Platform {
     /// Board/device name.
     pub name: &'static str,

@@ -17,7 +17,6 @@ use core::ops::Add;
 
 /// An FPGA resource estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Resources {
     /// Look-up tables.
     pub luts: f64,

@@ -14,7 +14,6 @@ use roboshape_topology::Topology;
 ///   point plus one slot per context switch the schedule actually incurs;
 /// * (f) block mat-mul accumulators — one `b×b` tile per unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StorageReport {
     /// Schedule ROM entries (tasks across all PEs).
     pub schedule_entries: usize,

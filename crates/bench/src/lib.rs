@@ -5,8 +5,9 @@
 //! * `substrates` — microbenchmarks of the reference dynamics library on
 //!   this machine (the honest, measured CPU numbers that complement the
 //!   calibrated analytical CPU model used for figure reproduction);
-//! * `figures` — one benchmark per paper table/figure, timing the code
-//!   that regenerates it.
+//! * `applications` — the application crates built on the framework:
+//!   collision checks, iLQR solves, and the topology-LTL factorization
+//!   against a dense Cholesky solve.
 
 #![warn(missing_docs)]
 

@@ -18,13 +18,37 @@
 //! Validation Playbook's flow). This module owns the manifest format
 //! and the byte-exact diffing; the CLI owns the generators.
 
-use crate::record::{MachineInfo, RecordError};
+use crate::machine::MachineInfo;
 use roboshape_obs::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Manifest schema version.
 pub const BUNDLE_SCHEMA_VERSION: u64 = 1;
+
+/// Typed failure loading or interpreting a bundle manifest.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BundleError {
+    /// The file could not be read.
+    Io(String),
+    /// The bytes are not well-formed JSON.
+    Parse(String),
+    /// The JSON is well-formed but not a valid manifest (wrong schema
+    /// version, missing field, wrong type).
+    Schema(String),
+}
+
+impl std::fmt::Display for BundleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BundleError::Io(m) => write!(f, "cannot read manifest: {m}"),
+            BundleError::Parse(m) => write!(f, "malformed manifest JSON: {m}"),
+            BundleError::Schema(m) => write!(f, "invalid manifest: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for BundleError {}
 
 /// One expected snapshot: a named generator output pinned byte-exactly.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,26 +147,27 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// [`RecordError::Parse`] / [`RecordError::Schema`] as for records.
-    pub fn from_json(text: &str) -> Result<Manifest, RecordError> {
-        let doc = json::parse(text).map_err(RecordError::Parse)?;
+    /// [`BundleError::Parse`] for malformed JSON, [`BundleError::Schema`] for
+    /// a well-formed document that is not a v1 manifest.
+    pub fn from_json(text: &str) -> Result<Manifest, BundleError> {
+        let doc = json::parse(text).map_err(BundleError::Parse)?;
         match doc.get("schema").and_then(Json::as_f64) {
             Some(v) if v == BUNDLE_SCHEMA_VERSION as f64 => {}
             Some(v) => {
-                return Err(RecordError::Schema(format!(
+                return Err(BundleError::Schema(format!(
                     "unsupported bundle schema version {v}"
                 )))
             }
-            None => return Err(RecordError::Schema("missing `schema` field".to_string())),
+            None => return Err(BundleError::Schema("missing `schema` field".to_string())),
         }
         if doc.get("bundle").and_then(Json::as_str) != Some("roboshape-validation") {
-            return Err(RecordError::Schema(
+            return Err(BundleError::Schema(
                 "not a roboshape-validation bundle".to_string(),
             ));
         }
         let machine_doc = doc
             .get("machine")
-            .ok_or_else(|| RecordError::Schema("missing `machine` object".to_string()))?;
+            .ok_or_else(|| BundleError::Schema("missing `machine` object".to_string()))?;
         let machine = MachineInfo {
             os: machine_doc
                 .get("os")
@@ -169,7 +194,7 @@ impl Manifest {
                 seeds.insert(
                     k.clone(),
                     v.as_f64()
-                        .ok_or_else(|| RecordError::Schema(format!("seed `{k}` is not a number")))?
+                        .ok_or_else(|| BundleError::Schema(format!("seed `{k}` is not a number")))?
                         as u64,
                 );
             }
@@ -178,13 +203,13 @@ impl Manifest {
         let snap_doc = doc
             .get("snapshots")
             .and_then(Json::as_arr)
-            .ok_or_else(|| RecordError::Schema("missing `snapshots` array".to_string()))?;
+            .ok_or_else(|| BundleError::Schema("missing `snapshots` array".to_string()))?;
         for s in snap_doc {
-            let field = |key: &str| -> Result<String, RecordError> {
+            let field = |key: &str| -> Result<String, BundleError> {
                 s.get(key)
                     .and_then(Json::as_str)
                     .map(str::to_string)
-                    .ok_or_else(|| RecordError::Schema(format!("snapshot entry missing `{key}`")))
+                    .ok_or_else(|| BundleError::Schema(format!("snapshot entry missing `{key}`")))
             };
             let fnv_text = field("fnv64")?;
             snapshots.push(SnapshotEntry {
@@ -192,7 +217,7 @@ impl Manifest {
                 file: field("file")?,
                 bytes: s.get("bytes").and_then(Json::as_f64).unwrap_or(0.0) as u64,
                 fnv64: u64::from_str_radix(&fnv_text, 16).map_err(|_| {
-                    RecordError::Schema(format!("snapshot fnv64 `{fnv_text}` is not hex"))
+                    BundleError::Schema(format!("snapshot fnv64 `{fnv_text}` is not hex"))
                 })?,
             });
         }
@@ -221,12 +246,12 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// [`RecordError::Io`] when unreadable, otherwise as
+    /// [`BundleError::Io`] when unreadable, otherwise as
     /// [`Manifest::from_json`].
-    pub fn load(dir: &Path) -> Result<Manifest, RecordError> {
+    pub fn load(dir: &Path) -> Result<Manifest, BundleError> {
         let path = dir.join("manifest.json");
         let text = std::fs::read_to_string(&path)
-            .map_err(|e| RecordError::Io(format!("{}: {e}", path.display())))?;
+            .map_err(|e| BundleError::Io(format!("{}: {e}", path.display())))?;
         Manifest::from_json(&text)
     }
 }
@@ -405,15 +430,15 @@ mod tests {
     fn manifest_rejects_malformed_input() {
         assert!(matches!(
             Manifest::from_json("{oops"),
-            Err(RecordError::Parse(_))
+            Err(BundleError::Parse(_))
         ));
         assert!(matches!(
             Manifest::from_json("{\"schema\": 1, \"bundle\": \"something-else\"}"),
-            Err(RecordError::Schema(_))
+            Err(BundleError::Schema(_))
         ));
         assert!(matches!(
             Manifest::load(Path::new("/nonexistent-bundle")),
-            Err(RecordError::Io(_))
+            Err(BundleError::Io(_))
         ));
     }
 

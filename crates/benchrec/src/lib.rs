@@ -1,42 +1,28 @@
-//! Benchmark-history records and regression gating.
+//! The repository's performance gate and its reproducibility bundle.
 //!
-//! The repository's Criterion benches record point-in-time numbers in
-//! `BENCH_*.json`; nothing in those files stops a silent regression.
-//! This crate is the correctness-tooling layer that does:
-//!
-//! * [`record`] — the [`BenchRecord`] schema every bench emits into
-//!   `bench/current/` (and whose accepted copies live in the committed
-//!   `bench/baselines/` history directory): commit SHA, machine
-//!   fingerprint, and direction-classified metrics with a measured
-//!   noise band. Metric keys are wall-clock-free: they name rates and
-//!   quantiles, never timestamps, so records from different days are
-//!   directly comparable.
-//! * [`compare`] — the noise-aware diff between a baseline record and a
-//!   current record. Direction-aware (throughput down or p99 up is a
-//!   regression; the reverse is an improvement), with per-metric
-//!   tolerance bands derived from repeated-run variance and widened in
-//!   smoke mode. `roboshape bench compare` exits nonzero when any
-//!   gated metric regresses past its band.
+//! * [`ab`] — the paired A/B runner behind `roboshape bench ab`: it
+//!   builds two revisions' perfbench the same way, alternates their runs
+//!   in pairs, and judges each metric by the interval of its paired
+//!   log-ratios against the directions and bounds in `BENCHMARK.json`.
 //! * [`bundle`] — the validation-bundle manifest for third-party blind
 //!   reproduction (pinned seeds, expected report snapshots, latency and
 //!   failure-histogram context, commit SHA), modeled on the
 //!   rpg-encoder Validation Playbook.
+//! * [`machine`] — the machine fingerprint and commit both of them
+//!   report.
 //!
-//! Everything here is deterministic, and the only dependency is the
-//! zero-dependency `roboshape-obs` (for its FNV-1a 64 and its JSON tree
-//! parser/writer — the workspace vendors no serde_json; see DESIGN.md §5
-//! for the dependency policy), so the gate itself can never be the flaky
-//! part of CI.
+//! The only dependency is the zero-dependency `roboshape-obs` (for its
+//! FNV-1a 64 and its JSON parser/writer — the workspace vendors no
+//! serde_json; see DESIGN.md §5 for the dependency policy).
 
 #![deny(missing_docs)]
 
+pub mod ab;
 pub mod bundle;
-pub mod compare;
-pub mod record;
+pub mod machine;
 
-pub use bundle::{Manifest, SnapshotEntry, SnapshotStatus, VerifyOutcome};
-pub use compare::{CompareConfig, CompareReport, MetricDelta, MetricOutcome};
-pub use record::{BenchRecord, MachineInfo, Metric, MetricKind, RecordError};
+pub use bundle::{BundleError, Manifest, SnapshotEntry, SnapshotStatus, VerifyOutcome};
+pub use machine::{current_commit, MachineInfo};
 
 /// FNV-1a 64-bit hash of a byte string — the bundle's snapshot
 /// fingerprint.

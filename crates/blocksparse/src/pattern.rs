@@ -16,7 +16,6 @@ use roboshape_topology::Topology;
 /// assert!(p.is_dense()); // a serial chain's mass matrix is fully dense
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SparsityPattern {
     n: usize,
     nonzero: Vec<bool>, // row-major n×n

@@ -7,7 +7,6 @@ use roboshape_linalg::DMat;
 /// One block operation: multiply A-tile `(ti, tk)` by B-tile `(tk, tj)`
 /// and accumulate into C-tile `(ti, tj)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockOp {
     /// A-tile row.
     pub ti: usize,
@@ -26,7 +25,6 @@ pub struct BlockOp {
 /// product after a fixed pipeline-fill overhead:
 /// `cycles(b) = b² + fill`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MatmulLatencyModel {
     /// Pipeline fill/drain overhead per block op, in cycles.
     pub fill: u64,
@@ -54,7 +52,6 @@ impl MatmulLatencyModel {
 /// (Fig. 6c), each with a dedicated accumulator per C-tile (Fig. 8f), so
 /// unit latency is simply its op count times the per-op cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockMatmulPlan {
     n: usize,
     b_cols: usize,

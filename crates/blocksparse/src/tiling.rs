@@ -23,7 +23,6 @@ use crate::SparsityPattern;
 /// assert_eq!(t.nonzero_tiles(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockTiling {
     n: usize,
     block: usize,

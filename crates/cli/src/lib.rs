@@ -86,11 +86,11 @@ pub const USAGE: &str = "usage: roboshape <command> <robot.urdf> [options]
              --workload step|rollout:N|mixed --deadline-us N
              --retries N --timeout-ms N --seed N --cluster)
   health    probe a running server's or router's readiness and circuit state (--port P)
-  bench     benchmark-history tooling (an action instead of <robot.urdf>)
-            compare  diff bench/current records against a baseline directory,
-                     exit nonzero on any out-of-band regression
-                     (--baseline DIR --current DIR --smoke)
-            accept   copy bench/current records into bench/baselines
+  bench     the paired perf gate (an action instead of <robot.urdf>)
+            ab PARENT CHANGE [--pairs N] -- PERFBENCH-ARGS
+                     build both git revisions' perfbench, run N alternating
+                     pairs (default 10), report each metric's paired ratio,
+                     exit nonzero on a regression past a BENCHMARK.json bound
   bundle    validation bundles for third-party blind reproduction
             export   write a self-contained bundle (--out DIR --n N --seed S)
             verify   re-run the generators against a bundle directory
@@ -204,25 +204,19 @@ pub enum Command {
         /// Server port on loopback.
         port: u16,
     },
-    /// `roboshape bench compare`: diff the current bench records
-    /// against a baseline directory with noise-aware direction-aware
-    /// bands; exits nonzero on any regression past its band.
-    BenchCompare {
-        /// Directory of baseline records.
-        baseline: PathBuf,
-        /// Directory of current records (written by `cargo bench`).
-        current: PathBuf,
-        /// Force the widened smoke-mode bands even when neither record
-        /// is marked smoke.
-        smoke: bool,
-    },
-    /// `roboshape bench accept`: copy the current bench records into
-    /// the baseline history directory.
-    BenchAccept {
-        /// Directory of baseline records.
-        baseline: PathBuf,
-        /// Directory of current records.
-        current: PathBuf,
+    /// `roboshape bench ab`: the paired A/B perfbench gate (see
+    /// [`roboshape_benchrec::ab`]); exits nonzero when a metric regressed
+    /// past its `BENCHMARK.json` bound or the change failed a larger
+    /// share of operations.
+    BenchAb {
+        /// The parent git revision.
+        parent: String,
+        /// The change git revision.
+        change: String,
+        /// Pairs of runs.
+        pairs: usize,
+        /// The arguments after `--`, given to every perfbench run.
+        perfbench_args: Vec<String>,
     },
     /// `roboshape bundle export`: write a self-contained validation
     /// bundle (manifest + expected report snapshots + serving-probe
@@ -260,8 +254,7 @@ impl Command {
             Command::Router { .. } => "router",
             Command::Loadgen { .. } => "loadgen",
             Command::Health { .. } => "health",
-            Command::BenchCompare { .. } => "bench_compare",
-            Command::BenchAccept { .. } => "bench_accept",
+            Command::BenchAb { .. } => "bench_ab",
             Command::BundleExport { .. } => "bundle_export",
             Command::BundleVerify { .. } => "bundle_verify",
         }
@@ -283,7 +276,7 @@ use Arg::{Switch, Value};
 /// One subcommand's argument table: everything [`parse_args`] accepts
 /// for it. Anything else on the command line is an error.
 struct Spec {
-    /// The command words: `"info"`, or `"bench compare"` for the
+    /// The command words: `"info"`, or `"bench ab"` for the
     /// commands that take an action.
     words: &'static str,
     /// Fewest and most positional arguments after the command words.
@@ -335,10 +328,7 @@ const SPECS: &[Spec] = &[
         ("--cluster", Switch),
     ] },
     Spec { words: "health", operands: NONE, flags: &[("--port", PORT)] },
-    Spec { words: "bench compare", operands: NONE, flags: &[
-        ("--baseline", DIR), ("--current", DIR), ("--smoke", Switch),
-    ] },
-    Spec { words: "bench accept", operands: NONE, flags: &[("--baseline", DIR), ("--current", DIR)] },
+    Spec { words: "bench ab", operands: (2, 2), flags: &[("--pairs", N)] },
     Spec { words: "bundle export", operands: NONE, flags: &[
         ("--out", DIR), ("--n", N), ("--seed", Value("S")),
     ] },
@@ -369,6 +359,8 @@ struct Args {
     operands: Vec<String>,
     /// The flags given, with their values (`None` for switches).
     flags: Vec<(&'static str, Option<String>)>,
+    /// Everything after a bare `--`, unparsed (only `bench ab` takes it).
+    rest: Option<Vec<String>>,
 }
 
 impl Args {
@@ -378,8 +370,13 @@ impl Args {
     fn parse(args: &[String]) -> Result<Args, CliError> {
         let (mut words, mut operands, mut flags) = (Vec::new(), Vec::new(), Vec::new());
         let mut spec: Option<&'static Spec> = None;
+        let mut rest = None;
         let mut it = args.iter();
         while let Some(arg) = it.next() {
+            if arg == "--" {
+                rest = Some(it.by_ref().cloned().collect());
+                break;
+            }
             if !arg.starts_with("--") {
                 match spec {
                     None => {
@@ -435,12 +432,19 @@ impl Args {
             }
         })?;
         if operands.len() < spec.operands.0 {
-            return Err(CliError::new("missing <robot.urdf> argument"));
+            return Err(CliError::new(match spec.operands.0 {
+                1 => "missing <robot.urdf> argument".to_string(),
+                n => format!("{} needs {n} operands", spec.words),
+            }));
+        }
+        if rest.is_some() && spec.words != "bench ab" {
+            return Err(reject(Some(spec), "unexpected argument `--`".to_string()));
         }
         Ok(Args {
             spec,
             operands,
             flags,
+            rest,
         })
     }
 
@@ -670,14 +674,11 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                 cluster: a.switch("--cluster"),
             }
         }
-        "bench compare" => Command::BenchCompare {
-            baseline: a.path_or("--baseline", "bench/baselines"),
-            current: a.path_or("--current", "bench/current"),
-            smoke: a.switch("--smoke"),
-        },
-        "bench accept" => Command::BenchAccept {
-            baseline: a.path_or("--baseline", "bench/baselines"),
-            current: a.path_or("--current", "bench/current"),
+        "bench ab" => Command::BenchAb {
+            parent: a.operands[0].clone(),
+            change: a.operands[1].clone(),
+            pairs: a.count("--pairs", 10)?,
+            perfbench_args: a.rest.clone().unwrap_or_default(),
         },
         "bundle export" => Command::BundleExport {
             out: a.path_or("--out", "roboshape_bundle"),
@@ -978,122 +979,20 @@ fn run_health(port: u16) -> Result<String, CliError> {
     }
 }
 
-/// The benches whose records the compare gate covers, in the order the
-/// report prints them.
-const GATED_BENCHES: [&str; 4] = [
-    "sim_throughput",
-    "serve_throughput",
-    "zoo_population",
-    "dse_sweep",
-];
-
-/// `roboshape bench compare`: load every `<bench>.json` pair from the
-/// current and baseline directories, diff them with noise-aware bands,
-/// and fail (nonzero exit) when any gated metric regresses past its
-/// band or a gated metric disappeared. Benches with no record on
-/// either side are reported and skipped — but comparing *nothing* is
-/// an error, not a pass.
-fn run_bench_compare(
-    baseline_dir: &std::path::Path,
-    current_dir: &std::path::Path,
-    smoke: bool,
+/// `roboshape bench ab`: the paired A/B perfbench gate.
+fn run_bench_ab(
+    parent: &str,
+    change: &str,
+    pairs: usize,
+    perfbench_args: &[String],
 ) -> Result<String, CliError> {
-    use roboshape_benchrec::{compare::compare, BenchRecord, CompareConfig};
-    let cfg = CompareConfig {
-        force_smoke: smoke,
-        ..CompareConfig::default()
-    };
-    let mut out = String::new();
-    let mut compared = 0usize;
-    let mut failed = 0usize;
-    for bench in GATED_BENCHES {
-        let cur_path = current_dir.join(format!("{bench}.json"));
-        let base_path = baseline_dir.join(format!("{bench}.json"));
-        if !cur_path.exists() {
-            let _ = writeln!(
-                out,
-                "== {bench}: no current record at {} (run `cargo bench`) — skipped\n",
-                cur_path.display()
-            );
-            continue;
-        }
-        if !base_path.exists() {
-            let _ = writeln!(
-                out,
-                "== {bench}: no baseline at {} (accept one with `roboshape bench accept`) — skipped\n",
-                base_path.display()
-            );
-            continue;
-        }
-        // A malformed record on either side is a hard error, not a
-        // skip: a gate that shrugs at corrupt baselines gates nothing.
-        let baseline = BenchRecord::load(&base_path)
-            .map_err(|e| CliError::new(format!("{}: {e}", base_path.display())))?;
-        let current = BenchRecord::load(&cur_path)
-            .map_err(|e| CliError::new(format!("{}: {e}", cur_path.display())))?;
-        let report = compare(&baseline, &current, &cfg);
-        let _ = writeln!(
-            out,
-            "baseline {} → current {}",
-            baseline.commit, current.commit
-        );
-        let _ = writeln!(out, "{}", report.render());
-        compared += 1;
-        if report.failed() {
-            failed += 1;
-        }
+    let report = roboshape_benchrec::ab::run(parent, change, pairs, perfbench_args)
+        .map_err(|e| CliError::new(format!("bench ab: {e}")))?;
+    let text = report.render();
+    if report.failed() {
+        return Err(CliError::new(format!("{text}bench ab: FAIL")));
     }
-    if compared == 0 {
-        return Err(CliError::new(format!(
-            "{out}bench compare: nothing to compare"
-        )));
-    }
-    if failed > 0 {
-        return Err(CliError::new(format!(
-            "{out}bench compare: FAIL ({failed} of {compared} benches regressed)"
-        )));
-    }
-    let _ = writeln!(out, "bench compare: PASS ({compared} benches within bands)");
-    Ok(out)
-}
-
-/// `roboshape bench accept`: promote the current records to baselines.
-fn run_bench_accept(
-    baseline_dir: &std::path::Path,
-    current_dir: &std::path::Path,
-) -> Result<String, CliError> {
-    use roboshape_benchrec::BenchRecord;
-    let mut out = String::new();
-    let mut accepted = 0usize;
-    for bench in GATED_BENCHES {
-        let cur_path = current_dir.join(format!("{bench}.json"));
-        if !cur_path.exists() {
-            let _ = writeln!(out, "{bench}: no current record — skipped");
-            continue;
-        }
-        // Round-trip through the parser so a truncated file can never
-        // be promoted to a baseline.
-        let record = BenchRecord::load(&cur_path)
-            .map_err(|e| CliError::new(format!("{}: {e}", cur_path.display())))?;
-        let dest = baseline_dir.join(format!("{bench}.json"));
-        record
-            .save(&dest)
-            .map_err(|e| CliError::new(e.to_string()))?;
-        let _ = writeln!(
-            out,
-            "{bench}: accepted {} ({} metrics) → {}",
-            record.commit,
-            record.metrics.len(),
-            dest.display()
-        );
-        accepted += 1;
-    }
-    if accepted == 0 {
-        return Err(CliError::new(format!(
-            "{out}bench accept: no current records (run `cargo bench` first)"
-        )));
-    }
-    Ok(out)
+    Ok(format!("{text}bench ab: PASS\n"))
 }
 
 /// The deterministic experiment reports a validation bundle snapshots,
@@ -1186,7 +1085,7 @@ fn run_bundle_export(
     zoo_n: usize,
     zoo_seed: u64,
 ) -> Result<String, CliError> {
-    use roboshape_benchrec::{fnv1a64, record, Manifest, SnapshotEntry};
+    use roboshape_benchrec::{current_commit, fnv1a64, MachineInfo, Manifest, SnapshotEntry};
     let expected = out_dir.join("expected");
     std::fs::create_dir_all(&expected)
         .map_err(|e| CliError::new(format!("cannot create {}: {e}", expected.display())))?;
@@ -1227,8 +1126,8 @@ fn run_bundle_export(
     context.insert("histogram.errors".to_string(), probe.errors as f64);
     context.insert("histogram.lost".to_string(), probe.lost() as f64);
     let manifest = Manifest {
-        commit: record::current_commit(),
-        machine: record::MachineInfo::detect(false),
+        commit: current_commit(),
+        machine: MachineInfo::detect(false),
         seeds: [
             ("zoo_n".to_string(), zoo_n as u64),
             ("zoo_seed".to_string(), zoo_seed),
@@ -1258,7 +1157,9 @@ fn run_bundle_export(
 
 /// `roboshape bundle verify`.
 fn run_bundle_verify(dir: &std::path::Path) -> Result<String, CliError> {
-    use roboshape_benchrec::{record, Manifest, SnapshotStatus, VerifyOutcome};
+    use roboshape_benchrec::{
+        current_commit, MachineInfo, Manifest, SnapshotStatus, VerifyOutcome,
+    };
     let manifest = Manifest::load(dir).map_err(|e| CliError::new(e.to_string()))?;
     let zoo_n = *manifest.seeds.get("zoo_n").unwrap_or(&48) as usize;
     let zoo_seed = *manifest.seeds.get("zoo_seed").unwrap_or(&42);
@@ -1300,14 +1201,14 @@ fn run_bundle_verify(dir: &std::path::Path) -> Result<String, CliError> {
         fmt_us("latency.p99_us"),
         probe.p99_us
     ));
-    let commit = record::current_commit();
+    let commit = current_commit();
     if commit != manifest.commit {
         outcome.notes.push(format!(
             "note: bundle was exported at {} but this tree is {commit} (expected for a committed bundle)",
             manifest.commit
         ));
     }
-    let machine = record::MachineInfo::detect(false);
+    let machine = MachineInfo::detect(false);
     if !machine.comparable_to(&manifest.machine) {
         outcome.notes.push(
             "note: different machine than the exporter — context latencies are not comparable"
@@ -1354,12 +1255,12 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
             cluster,
         } => return run_loadgen_command(&cli.urdf, *port, config, *cluster),
         Command::Health { port } => return run_health(*port),
-        Command::BenchCompare {
-            baseline,
-            current,
-            smoke,
-        } => return run_bench_compare(baseline, current, *smoke),
-        Command::BenchAccept { baseline, current } => return run_bench_accept(baseline, current),
+        Command::BenchAb {
+            parent,
+            change,
+            pairs,
+            perfbench_args,
+        } => return run_bench_ab(parent, change, *pairs, perfbench_args),
         Command::BundleExport {
             out,
             zoo_n,
@@ -2575,35 +2476,44 @@ mod tests {
 
     #[test]
     fn parses_bench_and_bundle_commands() {
-        let c = parse_args(&args(&["bench", "compare", "--smoke"])).unwrap();
-        match c.command {
-            Command::BenchCompare {
-                baseline,
-                current,
-                smoke,
-            } => {
-                assert_eq!(baseline, PathBuf::from("bench/baselines"));
-                assert_eq!(current, PathBuf::from("bench/current"));
-                assert!(smoke);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-
+        // Everything after `--` is perfbench's, even a flag the CLI
+        // itself takes (`--trace`).
         let c = parse_args(&args(&[
             "bench",
-            "accept",
-            "--baseline",
-            "hist",
-            "--current",
-            "now",
+            "ab",
+            "HEAD~1",
+            "HEAD",
+            "--pairs",
+            "4",
+            "--",
+            "--workload",
+            "hot",
+            "--trace",
+            "1",
         ]))
         .unwrap();
         assert_eq!(
             c.command,
-            Command::BenchAccept {
-                baseline: PathBuf::from("hist"),
-                current: PathBuf::from("now"),
+            Command::BenchAb {
+                parent: "HEAD~1".into(),
+                change: "HEAD".into(),
+                pairs: 4,
+                perfbench_args: args(&["--workload", "hot", "--trace", "1"]),
             }
+        );
+        assert_eq!(c.trace, None);
+        let c = parse_args(&args(&["bench", "ab", "a", "b"])).unwrap();
+        assert!(
+            matches!(c.command, Command::BenchAb { pairs: 10, ref perfbench_args, .. } if perfbench_args.is_empty())
+        );
+        assert!(
+            parse_args(&args(&["bench", "ab", "a"])).is_err(),
+            "two revisions"
+        );
+        assert!(parse_args(&args(&["bench", "ab", "a", "b", "--seconds", "3"])).is_err());
+        assert!(
+            parse_args(&args(&["info", "r.urdf", "--", "x"])).is_err(),
+            "only bench ab takes `--`"
         );
 
         let c = parse_args(&args(&[
@@ -2638,123 +2548,6 @@ mod tests {
         assert!(parse_args(&args(&["bundle"])).is_err(), "action required");
         assert!(parse_args(&args(&["bench", "frobnicate"])).is_err());
         assert!(parse_args(&args(&["bundle", "frobnicate"])).is_err());
-    }
-
-    /// Writes a `sim_throughput` record with one gated metric into
-    /// `dir`, for exercising the compare gate without running benches.
-    fn write_bench_record(dir: &std::path::Path, rps: f64) {
-        let mut rec = roboshape_benchrec::BenchRecord::new("sim_throughput", false, false);
-        rec.push("warm_evals_per_sec", rps, 0.0);
-        rec.save(&dir.join("sim_throughput.json")).unwrap();
-    }
-
-    fn compare_cli(baseline: &std::path::Path, current: &std::path::Path) -> Cli {
-        parse_args(&args(&[
-            "bench",
-            "compare",
-            "--baseline",
-            baseline.to_str().unwrap(),
-            "--current",
-            current.to_str().unwrap(),
-        ]))
-        .unwrap()
-    }
-
-    #[test]
-    fn bench_compare_gates_a_degraded_run_via_cli() {
-        let root = std::env::temp_dir().join("roboshape_cli_tests/compare_gate");
-        let baseline = root.join("baselines");
-        let current = root.join("current");
-        let _ = std::fs::remove_dir_all(&root);
-
-        // Identical records: within every band → PASS.
-        write_bench_record(&baseline, 1000.0);
-        write_bench_record(&current, 1000.0);
-        let out = run(&compare_cli(&baseline, &current)).unwrap();
-        assert!(out.contains("bench compare: PASS"), "{out}");
-
-        // A −70% collapse of a higher-is-better metric: far outside the
-        // 15% full-run band → nonzero exit with a FAIL summary.
-        write_bench_record(&current, 300.0);
-        let err = run(&compare_cli(&baseline, &current)).unwrap_err();
-        assert!(
-            err.message.contains("bench compare: FAIL"),
-            "{}",
-            err.message
-        );
-        assert!(err.message.contains("REGRESSED"), "{}", err.message);
-
-        // The same collapse in the opposite direction is an improvement,
-        // not a regression.
-        write_bench_record(&current, 3000.0);
-        let out = run(&compare_cli(&baseline, &current)).unwrap();
-        assert!(out.contains("bench compare: PASS"), "{out}");
-    }
-
-    #[test]
-    fn bench_compare_rejects_malformed_and_missing_baselines() {
-        let root = std::env::temp_dir().join("roboshape_cli_tests/compare_malformed");
-        let baseline = root.join("baselines");
-        let current = root.join("current");
-        let _ = std::fs::remove_dir_all(&root);
-        write_bench_record(&current, 1000.0);
-
-        // No baseline at all: every bench is skipped, and comparing
-        // nothing is an error, not a pass.
-        let err = run(&compare_cli(&baseline, &current)).unwrap_err();
-        assert!(
-            err.message.contains("nothing to compare"),
-            "{}",
-            err.message
-        );
-
-        // A corrupt baseline is a hard error, not a skip.
-        std::fs::create_dir_all(&baseline).unwrap();
-        std::fs::write(baseline.join("sim_throughput.json"), "{not json").unwrap();
-        let err = run(&compare_cli(&baseline, &current)).unwrap_err();
-        assert!(
-            err.message.contains("sim_throughput.json"),
-            "{}",
-            err.message
-        );
-    }
-
-    #[test]
-    fn bench_accept_promotes_current_records() {
-        let root = std::env::temp_dir().join("roboshape_cli_tests/accept");
-        let baseline = root.join("baselines");
-        let current = root.join("current");
-        let _ = std::fs::remove_dir_all(&root);
-        write_bench_record(&current, 1234.5);
-
-        let cli = parse_args(&args(&[
-            "bench",
-            "accept",
-            "--baseline",
-            baseline.to_str().unwrap(),
-            "--current",
-            current.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let out = run(&cli).unwrap();
-        assert!(out.contains("sim_throughput: accepted"), "{out}");
-
-        // The promoted baseline round-trips and gates cleanly.
-        let out = run(&compare_cli(&baseline, &current)).unwrap();
-        assert!(out.contains("bench compare: PASS"), "{out}");
-
-        // Accepting from an empty directory is an error.
-        let _ = std::fs::remove_dir_all(&current);
-        let cli = parse_args(&args(&[
-            "bench",
-            "accept",
-            "--baseline",
-            baseline.to_str().unwrap(),
-            "--current",
-            current.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(run(&cli).is_err());
     }
 
     /// The full reproducibility loop in-process: export a validation

@@ -9,8 +9,9 @@
 //! keyed by a [`FragmentHasher`] hash of their full input, so:
 //!
 //! * a warm re-sweep joins `N²+N` cached scalars into `N³` points without
-//!   touching the scheduler (the ≥10× incremental-over-cold path in
-//!   `BENCH_dse.json`) — the `dse.frag.{hits,misses}` counters prove it;
+//!   touching the scheduler (perfbench's `dse.resweep_points_per_s`
+//!   against `dse.sweep_points_per_s`) — the `dse.frag.{hits,misses}`
+//!   counters prove it;
 //! * the pruned sweep ([`sweep_design_space_pruned_with`]) skips provably
 //!   dominated grid rows *before* scheduling them, using the makespan's
 //!   monotonicity in each PE count plus a streaming Pareto skyline.
@@ -259,7 +260,7 @@ pub fn sweep_design_space_with(pipeline: &Pipeline, topo: &Topology) -> Vec<Desi
 /// The non-incremental reference sweep: evaluates the full `N³` space
 /// through the coarse pipeline stages only, never touching the fragment
 /// store. This is the oracle the incremental and pruned sweeps are pinned
-/// against (tests and the `dse_sweep` bench); it is sequential and makes
+/// against (`tests/pruned_frontier.rs`); it is sequential and makes
 /// no throughput claims.
 pub fn sweep_design_space_exhaustive_with(
     pipeline: &Pipeline,

@@ -21,7 +21,6 @@ pub type DVec = Vec<f64>;
 /// assert_eq!(m[(0, 1)], 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DMat {
     rows: usize,
     cols: usize,

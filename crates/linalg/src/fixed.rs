@@ -16,7 +16,6 @@ use core::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(v.dot(Vec3::new(1.0, 0.0, 0.0)), 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vec3 {
     /// x component.
     pub x: f64,
@@ -155,7 +154,6 @@ impl Mul<f64> for Vec3 {
 /// assert!((v.y - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mat3 {
     rows: [[f64; 3]; 3],
 }
@@ -386,7 +384,6 @@ impl Mul for Mat3 {
 /// assert_eq!(v[0], 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vec6 {
     data: [f64; 6],
 }
@@ -542,7 +539,6 @@ impl Mul<f64> for Vec6 {
 /// assert_eq!(m * v, v);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mat6 {
     rows: [[f64; 6]; 6],
 }

@@ -7,7 +7,7 @@
 //! * `N×N` joint-space matrices that grow with robot size (the mass matrix
 //!   and the gradient matrices) — [`DMat`], [`DVec`].
 //!
-//! The crate is dependency-free (modulo optional `serde`) and deliberately
+//! The crate is dependency-free and deliberately
 //! small: only the operations the dynamics algorithms and the accelerator
 //! model actually need are provided.
 //!

@@ -548,25 +548,16 @@ mod tests {
 
     #[test]
     fn committed_bench_records_parse() {
-        // The committed BENCH files at the repo root and the baseline
-        // records are the acceptance inputs for `bench compare`; the
-        // parser must handle every one of them.
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
-        let baselines = std::path::Path::new(root).join("bench/baselines");
-        let mut paths: Vec<std::path::PathBuf> = ["sim", "serve", "zoo", "dse"]
-            .iter()
-            .map(|name| std::path::Path::new(root).join(format!("BENCH_{name}.json")))
-            .collect();
-        paths.extend(
-            std::fs::read_dir(&baselines)
-                .expect("bench/baselines")
-                .map(|e| e.expect("dir entry").path())
-                .filter(|p| p.extension().is_some_and(|x| x == "json")),
-        );
-        paths.push(baselines.join("example-bundle/manifest.json"));
-        for path in &paths {
-            let text =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        // The benchmark declaration `bench ab` reads its directions and
+        // bounds from, and the example bundle's manifest `bundle verify`
+        // reads: the parser must handle both committed files.
+        let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../"));
+        for path in [
+            root.join("BENCHMARK.json"),
+            root.join("bench/baselines/example-bundle/manifest.json"),
+        ] {
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
             parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         }
     }

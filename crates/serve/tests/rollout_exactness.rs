@@ -134,3 +134,46 @@ proptest! {
         }
     }
 }
+
+/// Trajectory tickets over loopback TCP: a server hosting a generated
+/// population answers every rollout at horizons 1, 4 and 16, with no
+/// ticket lost and none shed, errored or past a deadline.
+#[test]
+fn rollout_serving_over_loopback_loses_nothing() {
+    use roboshape_serve::loadgen::{
+        run_loadgen, LoadMode, LoadgenConfig, RetryPolicy, TargetRobot, Workload,
+    };
+    use roboshape_serve::Server;
+
+    let engine = Engine::new(EngineConfig::default());
+    let members =
+        roboshape_zoo::population(42, 8, &roboshape_zoo::Family::ALL).expect("population");
+    let robots: Vec<TargetRobot> = members
+        .iter()
+        .map(|m| {
+            engine.register(&m.name, m.model.clone());
+            TargetRobot {
+                name: m.name.clone(),
+                links: m.model.num_links(),
+            }
+        })
+        .collect();
+    let server = Server::start(engine, "127.0.0.1:0").expect("bind loopback");
+    for steps in [1, 4, 16] {
+        let cfg = LoadgenConfig {
+            mode: LoadMode::Closed,
+            clients: 2,
+            requests_per_client: 4,
+            robots: robots.clone(),
+            workload: Workload::Rollout(steps),
+            deadline: None,
+            seed: 3,
+            retry: RetryPolicy::none(),
+            timeout: None,
+        };
+        let report = run_loadgen(server.addr(), &cfg).expect("rollout load");
+        assert_eq!(report.lost(), 0, "horizon {steps}: {report}");
+        assert_eq!(report.ok, report.sent, "horizon {steps}: {report}");
+    }
+    server.shutdown();
+}

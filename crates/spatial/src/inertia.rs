@@ -31,7 +31,6 @@ use roboshape_linalg::{Mat3, Mat6, Vec3};
 /// assert!((f.linear().x - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpatialInertia {
     mass: f64,
     h: Vec3,

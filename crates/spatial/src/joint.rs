@@ -10,7 +10,6 @@ use roboshape_linalg::Vec3;
 /// prismatic joints; fixed joints appear in URDF files and are fused away
 /// during parsing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum JointKind {
     /// Rotation about `axis` (unit vector in the joint frame).
     Revolute {
@@ -44,7 +43,6 @@ pub enum JointKind {
 /// assert!((x.translation().z - 0.3).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Joint {
     kind: JointKind,
     tree_xform: Xform,

@@ -15,7 +15,6 @@ use roboshape_linalg::{Vec3, Vec6};
 /// assert_eq!(v.angular(), Vec3::unit_z());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MotionVec(pub Vec6);
 
 /// A spatial *force* vector (force/torque or momentum): moment `n` on top,
@@ -30,7 +29,6 @@ pub struct MotionVec(pub Vec6);
 /// assert_eq!(f.linear().z, -9.81);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ForceVec(pub Vec6);
 
 macro_rules! spatial_vec_impl {

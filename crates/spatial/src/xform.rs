@@ -33,7 +33,6 @@ use roboshape_linalg::{Mat3, Mat6, Vec3};
 /// assert!((v.linear().y - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Xform {
     rot: Mat3,
     trans: Vec3,

@@ -4,13 +4,11 @@ use roboshape_topology::Topology;
 
 /// Identifier of a task within a [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskId(pub usize);
 
 /// The four traversal stages of the dynamics-gradient kernel
 /// (paper Fig. 3 / Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Stage {
     /// RNEA forward pass (velocities, accelerations, per-link forces).
     RneaFwd,
@@ -40,7 +38,6 @@ impl Stage {
 
 /// What a task computes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TaskKind {
     /// Forward RNEA step for `link` (computes `X`, `v`, `a`, local `f`).
     RneaFwd {
@@ -102,7 +99,6 @@ impl TaskKind {
 
 /// One node of the task graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Task {
     /// What the task computes.
     pub kind: TaskKind,
@@ -116,7 +112,6 @@ pub struct Task {
 /// smaller id) — guaranteed by the constructors and relied on by the
 /// scheduler.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskGraph {
     tasks: Vec<Task>,
     limb_of_link: Vec<usize>,

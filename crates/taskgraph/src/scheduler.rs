@@ -12,7 +12,6 @@ use core::fmt;
 
 /// Whether a PE belongs to the forward- or backward-traversal pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PeClass {
     /// Forward-traversal PEs (`PEs_fwd`).
     Forward,
@@ -27,7 +26,6 @@ pub enum PeClass {
 /// Fig. 12 reports (maximum latencies of roughly 800–7000 cycles across
 /// the six robots).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TaskCosts {
     /// Cycles for an RNEA forward link step.
     pub rnea_fwd: u64,
@@ -65,7 +63,6 @@ impl TaskCosts {
 /// Scheduler parameters: the PE allocation knobs plus task costs and
 /// pipelining mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SchedulerConfig {
     /// Number of forward-traversal PEs (`PEs_fwd` knob).
     pub pe_fwd: usize,
@@ -122,7 +119,6 @@ impl SchedulerConfig {
 
 /// One scheduled task instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScheduleEntry {
     /// The task.
     pub task: TaskId,
@@ -138,7 +134,6 @@ pub struct ScheduleEntry {
 
 /// A complete schedule: every task mapped to a PE and a cycle interval.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schedule {
     entries: Vec<ScheduleEntry>,
     pe_fwd: usize,

@@ -24,7 +24,6 @@ use core::fmt;
 /// assert_eq!(m.leaf_depth_stdev, 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TopologyMetrics {
     /// Total number of moving links `N`.
     pub total_links: usize,

@@ -42,7 +42,6 @@ use crate::Topology;
 /// assert_eq!(p.max_forward(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ParallelismProfile {
     /// Link count per forward step (by depth).
     pub forward: Vec<usize>,

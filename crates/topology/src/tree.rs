@@ -51,7 +51,6 @@ impl std::error::Error for TopologyError {}
 /// assert!(topo.is_ancestor(0, 2));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Topology {
     parents: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,
